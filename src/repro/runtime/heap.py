@@ -29,6 +29,14 @@ class HeapError(Exception):
     """Raised on invalid heap accesses (VM-level type errors)."""
 
 
+def _slot_map(layout: tuple[str, ...]) -> dict[str, int]:
+    """``{field: index of its first occurrence}`` (``tuple.index`` order)."""
+    slots: dict[str, int] = {}
+    for index, name in enumerate(layout):
+        slots.setdefault(name, index)
+    return slots
+
+
 @dataclass(slots=True)
 class _ObjectRecord:
     class_name: str
@@ -37,14 +45,16 @@ class _ObjectRecord:
     #: Source position of the allocating instruction; only populated when
     #: the interpreter runs with locality attribution enabled.
     alloc_site: str | None = None
+    #: ``field -> slot`` for ``layout``; one dict shared per layout.
+    slot_map: dict[str, int] = field(default_factory=dict)
 
     def slot_index(self, field_name: str) -> int:
-        try:
-            return self.layout.index(field_name)
-        except ValueError:
+        index = self.slot_map.get(field_name)
+        if index is None:
             raise HeapError(
                 f"object of class {self.class_name!r} has no field {field_name!r}"
-            ) from None
+            )
+        return index
 
 
 @dataclass(slots=True)
@@ -59,6 +69,8 @@ class _ArrayRecord:
     #: Declared element class (analysis-proven, reference arrays only);
     #: sharpens locality labels from ``<array>`` to ``Cls[]``.
     elem_class: str | None = None
+    #: ``field -> index`` for ``inline_fields``; one dict shared per layout.
+    field_map: dict[str, int] = field(default_factory=dict)
 
 
 @dataclass(slots=True)
@@ -96,6 +108,8 @@ class Heap:
         self._frame_allocs: list[list[int]] = [[]]
         self._objects: dict[int, _ObjectRecord] = {}
         self._arrays: dict[int, _ArrayRecord] = {}
+        #: One slot dict per distinct layout tuple, shared by its records.
+        self._slot_maps: dict[tuple[str, ...], dict[str, int]] = {}
         self.stats = HeapStats()
 
     # ------------------------------------------------------------------
@@ -137,6 +151,12 @@ class Heap:
         self._next_address += aligned
         return address
 
+    def _slots_of(self, layout: tuple[str, ...]) -> dict[str, int]:
+        slots = self._slot_maps.get(layout)
+        if slots is None:
+            slots = self._slot_maps[layout] = _slot_map(layout)
+        return slots
+
     def _bump_frame(self, size: int) -> int:
         aligned = (size + SLOT_SIZE - 1) // SLOT_SIZE * SLOT_SIZE
         address = self._next_frame_address
@@ -162,6 +182,7 @@ class Heap:
             layout=layout,
             slots=[None] * len(layout),
             alloc_site=alloc_site,
+            slot_map=self._slots_of(layout),
         )
         self.stats.objects_allocated += 1
         self.stats.bytes_allocated += size
@@ -191,6 +212,7 @@ class Heap:
             slots=[None] * (length * slots_per_elem),
             alloc_site=alloc_site,
             elem_class=elem_class,
+            field_map=self._slots_of(inline_fields),
         )
         self.stats.arrays_allocated += 1
         self.stats.bytes_allocated += size
@@ -211,13 +233,21 @@ class Heap:
         return ref.address + OBJECT_HEADER + record.slot_index(field_name) * SLOT_SIZE
 
     def read_field(self, ref: ObjectRef, field_name: str) -> tuple[Value, int]:
-        record = self._object(ref)
-        index = record.slot_index(field_name)
+        record = self._objects.get(ref.address)
+        if record is None:
+            record = self._object(ref)  # raises
+        index = record.slot_map.get(field_name)
+        if index is None:
+            index = record.slot_index(field_name)  # raises
         return record.slots[index], ref.address + OBJECT_HEADER + index * SLOT_SIZE
 
     def write_field(self, ref: ObjectRef, field_name: str, value: Value) -> int:
-        record = self._object(ref)
-        index = record.slot_index(field_name)
+        record = self._objects.get(ref.address)
+        if record is None:
+            record = self._object(ref)  # raises
+        index = record.slot_map.get(field_name)
+        if index is None:
+            index = record.slot_index(field_name)  # raises
         record.slots[index] = value
         return ref.address + OBJECT_HEADER + index * SLOT_SIZE
 
@@ -291,29 +321,35 @@ class Heap:
             raise HeapError(f"array index {index} out of range [0, {record.length})")
 
     def read_element(self, ref: ArrayRef, index: int) -> tuple[Value, int]:
-        record = self._array(ref)
-        self._check_index(record, index)
+        record = self._arrays.get(ref.address)
+        if record is None or type(index) is not int or not 0 <= index < record.length:
+            record = self._array(ref)
+            self._check_index(record, index)
         if record.inline_layout is not None:
             raise HeapError("read_element on inline array; use element views")
         return record.slots[index], ref.address + ARRAY_HEADER + index * SLOT_SIZE
 
     def write_element(self, ref: ArrayRef, index: int, value: Value) -> int:
-        record = self._array(ref)
-        self._check_index(record, index)
+        record = self._arrays.get(ref.address)
+        if record is None or type(index) is not int or not 0 <= index < record.length:
+            record = self._array(ref)
+            self._check_index(record, index)
         if record.inline_layout is not None:
             raise HeapError("write_element on inline array; use element views")
         record.slots[index] = value
         return ref.address + ARRAY_HEADER + index * SLOT_SIZE
 
     # -- inline (parallel-array) element state --------------------------
+    # The view accessors compute the slot inline when the array is live,
+    # the index an in-range int and the field known; anything else takes
+    # the checked path, which raises the precise error.
 
     def _inline_slot(self, record: _ArrayRecord, index: int, field_name: str) -> int:
-        try:
-            field_index = record.inline_fields.index(field_name)
-        except ValueError:
+        field_index = record.field_map.get(field_name)
+        if field_index is None:
             raise HeapError(
                 f"inline array of {record.inline_layout!r} has no field {field_name!r}"
-            ) from None
+            )
         if record.parallel:
             return field_index * record.length + index
         return index * len(record.inline_fields) + field_index
@@ -321,17 +357,31 @@ class Heap:
     def read_inline_field(
         self, ref: ArrayRef, index: int, field_name: str
     ) -> tuple[Value, int]:
-        record = self._array(ref)
-        self._check_index(record, index)
-        slot = self._inline_slot(record, index, field_name)
+        record = self._arrays.get(ref.address)
+        field_index = None if record is None else record.field_map.get(field_name)
+        if field_index is None or type(index) is not int or not 0 <= index < record.length:
+            record = self._array(ref)
+            self._check_index(record, index)
+            slot = self._inline_slot(record, index, field_name)
+        elif record.parallel:
+            slot = field_index * record.length + index
+        else:
+            slot = index * len(record.inline_fields) + field_index
         return record.slots[slot], ref.address + ARRAY_HEADER + slot * SLOT_SIZE
 
     def write_inline_field(
         self, ref: ArrayRef, index: int, field_name: str, value: Value
     ) -> int:
-        record = self._array(ref)
-        self._check_index(record, index)
-        slot = self._inline_slot(record, index, field_name)
+        record = self._arrays.get(ref.address)
+        field_index = None if record is None else record.field_map.get(field_name)
+        if field_index is None or type(index) is not int or not 0 <= index < record.length:
+            record = self._array(ref)
+            self._check_index(record, index)
+            slot = self._inline_slot(record, index, field_name)
+        elif record.parallel:
+            slot = field_index * record.length + index
+        else:
+            slot = index * len(record.inline_fields) + field_index
         record.slots[slot] = value
         return ref.address + ARRAY_HEADER + slot * SLOT_SIZE
 

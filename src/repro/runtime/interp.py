@@ -1,4 +1,4 @@
-"""The VM: a direct interpreter for the CFG IR.
+"""The VM: a pre-decoded interpreter for the CFG IR.
 
 The interpreter doubles as the paper's performance substrate.  Every heap
 access goes through the simulated :class:`~repro.runtime.heap.Heap` and the
@@ -14,8 +14,13 @@ dispatch, better locality).
 
 from __future__ import annotations
 
+import dataclasses
+import math
+import operator
 import sys
+from collections import Counter
 from dataclasses import dataclass
+from typing import NoReturn
 
 from ..ir import model as ir
 from ..lang.errors import SourceLocation
@@ -71,13 +76,74 @@ class RunResult:
         return self.stats.cycles(model)
 
 
+#: Terminator kinds of a decoded block.
+_JUMP, _BRANCH, _RETURN, _FELL_OFF = range(4)
+
+#: Instructions that may run other code (a constructor or a callee); a
+#: call-free segment ends at each.
+_CALLS = (ir.New, ir.CallMethod, ir.CallStatic, ir.CallFunction)
+
+#: Binary operators with a fast path when both operands are numbers; the
+#: result is what ``Interpreter._binop`` computes for numbers.
+_NUMERIC_BINOPS = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+    "==": operator.eq,
+    "!=": operator.ne,
+}
+
+#: ``Interpreter._methods`` marker for a lookup not made yet (a stored
+#: None means the class has no such method).
+_UNRESOLVED = object()
+
+
+def _gatherer(registers: tuple[int, ...]):
+    """``regs -> [regs[r] for r in registers]``, specialised by arity."""
+    if not registers:
+        return lambda regs: []
+    if len(registers) == 1:
+        (only,) = registers
+        return lambda regs: [regs[only]]
+    get = operator.itemgetter(*registers)
+    return lambda regs: list(get(regs))
+
+
 @dataclass(slots=True)
-class _Frame:
-    regs: list[Value]
+class _Code:
+    """An :class:`~repro.ir.model.IRCallable` decoded for execution.
+
+    ``blocks[i]`` is ``(segments, kind, a, b, c)``: the block's call-free
+    segments, then its terminator — ``_JUMP`` to block ``a``, ``_BRANCH``
+    on register ``a`` to ``b``/``c``, ``_RETURN`` of register ``a`` (or
+    nil), or ``_FELL_OFF`` block ``a`` without a terminator.  A segment
+    is ``(count, ops, steps)``: ``ops`` are closures over the register
+    list, at most the last of which calls out, and its ``count``
+    instructions are charged together.  ``steps`` lists
+    ``(location, op or None)`` per instruction, for stepping the same
+    closures at the step limit; an instruction without an op of its own
+    (a terminator, or a move its producer performs) is only counted.
+    """
+
+    callable_: ir.IRCallable
+    num_formals: int
+    #: Nil registers appended to the arguments to make the frame.
+    padding: list[Value]
+    blocks: list[tuple]
 
 
 class Interpreter:
-    """Executes an :class:`~repro.ir.model.IRProgram`."""
+    """Executes an :class:`~repro.ir.model.IRProgram`.
+
+    Each callable is decoded once per interpreter, on its first call,
+    into per-block tuples of closures (see :class:`_Code`); register
+    indices, constants, field names, locations and the heap/cache methods
+    are bound into the closures at decode time.
+    """
 
     def __init__(
         self,
@@ -93,9 +159,10 @@ class Interpreter:
         self.heap = Heap()
         self.cache = CacheSimulator(cache_config)
         # Attribution is observation-only and off by default: when
-        # ``_locality`` is None every accessor takes the exact pre-existing
-        # call path, and the simulated counters are bit-identical either
-        # way (differentially tested in tests/test_locality.py).
+        # ``_locality`` is None field and element accesses decode to the
+        # unlabelled fast closures, and the simulated counters are
+        # bit-identical either way (differentially tested in
+        # tests/test_locality.py).
         self._locality = (
             self.cache.enable_attribution(locality_bucket_lines)
             if attribute_locality
@@ -115,6 +182,14 @@ class Interpreter:
             for callable_ in program.callables()
             for instr in callable_.instructions()
         )
+        # Per-run memos; the program does not change during a run.
+        #: id(callable) -> decoded code (the code pins the callable).
+        self._codes: dict[int, _Code] = {}
+        #: (class, method) -> callable, or None when the class lacks it.
+        self._methods: dict[tuple[str, str], ir.IRCallable | None] = {}
+        #: class -> its field layout; one tuple per class, so the heap's
+        #: per-layout slot dict is shared by all of its objects.
+        self._layouts: dict[str, tuple[str, ...]] = {}
         # Consulted only at run()-end (never in the dispatch loop), so the
         # default no-op tracer adds zero per-instruction overhead.
         self.tracer = tracer
@@ -138,6 +213,11 @@ class Interpreter:
             result = self._call(entry_fn, [])
         finally:
             sys.setrecursionlimit(old_limit)
+            # Decoded closures hold bound methods of this interpreter; with
+            # them dropped, refcounting frees the interpreter and the run's
+            # heap as soon as the caller lets go, without waiting for the
+            # cycle collector.
+            self._codes.clear()
         if self.tracer.enabled:
             # Surface the VM's counters as trace data at run end.
             summary = self.stats.summary()
@@ -162,175 +242,519 @@ class Interpreter:
         fn = self.program.functions.get(name)
         if fn is None:
             raise ReproRuntimeError(f"unknown function {name!r}")
-        return self._call(fn, args)
+        return self._call(fn, list(args))
 
     # ------------------------------------------------------------------
     # Core execution.
 
     def _call(self, callable_: ir.IRCallable, args: list[Value]) -> Value:
-        expected = callable_.num_formals
-        if len(args) != expected:
+        code = self._codes.get(id(callable_))
+        if code is None:
+            code = self._decode(callable_)
+        if len(args) != code.num_formals:
             raise ReproRuntimeError(
-                f"{callable_.name} expects {expected} values, got {len(args)}"
+                f"{callable_.name} expects {code.num_formals} values, got {len(args)}"
             )
         self._depth += 1
         if self._depth > self.stats.max_call_depth:
             self.stats.max_call_depth = self._depth
-        frame = _Frame(regs=[None] * callable_.num_regs)
-        frame.regs[: len(args)] = args
+        regs = args + code.padding
         if not self._frame_regions:
             try:
-                return self._run_frame(callable_, frame)
+                return self._run_frame(code, regs)
             finally:
                 self._depth -= 1
         marker = self.heap.push_frame()
         try:
-            return self._run_frame(callable_, frame)
+            return self._run_frame(code, regs)
         finally:
             self.heap.pop_frame(marker)
             self._depth -= 1
 
-    def _run_frame(self, callable_: ir.IRCallable, frame: _Frame) -> Value:
-        blocks = callable_.blocks
-        regs = frame.regs
+    def _run_frame(self, code: _Code, regs: list[Value]) -> Value:
         stats = self.stats
-        block_index = 0
+        limit = self._max_steps
+        blocks = code.blocks
+        segments, kind, a, b, c = blocks[0]
         while True:
-            block = blocks[block_index]
-            for instr in block.instrs:
-                stats.instructions += 1
-                if stats.instructions > self._max_steps:
-                    raise StepLimitExceeded(
-                        f"exceeded {self._max_steps} instructions", instr.loc
-                    )
-                kind = type(instr)
-
-                if kind is ir.Const:
-                    regs[instr.dest] = instr.value
-                elif kind is ir.Move:
-                    regs[instr.dest] = regs[instr.src]
-                elif kind is ir.BinOp:
-                    regs[instr.dest] = self._binop(
-                        instr.op, regs[instr.lhs], regs[instr.rhs], instr.loc
-                    )
-                elif kind is ir.UnOp:
-                    regs[instr.dest] = self._unop(instr.op, regs[instr.src], instr.loc)
-                elif kind is ir.GetField:
-                    regs[instr.dest] = self._get_field(
-                        regs[instr.obj], instr.field_name, instr.loc
-                    )
-                elif kind is ir.SetField:
-                    self._set_field(
-                        regs[instr.obj], instr.field_name, regs[instr.src], instr.loc
-                    )
-                elif kind is ir.GetFieldIndexed:
-                    regs[instr.dest] = self._get_field_indexed(
-                        regs[instr.obj],
-                        instr.base_field,
-                        instr.length,
-                        regs[instr.index],
-                        instr.loc,
-                    )
-                elif kind is ir.SetFieldIndexed:
-                    self._set_field_indexed(
-                        regs[instr.obj],
-                        instr.base_field,
-                        instr.length,
-                        regs[instr.index],
-                        regs[instr.src],
-                        instr.loc,
-                    )
-                elif kind is ir.GetIndex:
-                    regs[instr.dest] = self._get_index(
-                        regs[instr.array], regs[instr.index], instr.loc
-                    )
-                elif kind is ir.SetIndex:
-                    self._set_index(
-                        regs[instr.array], regs[instr.index], regs[instr.src], instr.loc
-                    )
-                elif kind is ir.ArrayLen:
-                    array = regs[instr.array]
-                    if not isinstance(array, ArrayRef):
-                        raise ReproRuntimeError(
-                            f"len() of non-array {format_value(array)}", instr.loc
-                        )
-                    regs[instr.dest] = array.length
-                elif kind is ir.New:
-                    regs[instr.dest] = self._new_object(
-                        instr.class_name,
-                        [regs[a] for a in instr.args],
-                        instr.loc,
-                        instr.on_stack,
-                        instr.skip_init,
-                        instr.frame_local,
-                    )
-                elif kind is ir.NewArray:
-                    regs[instr.dest] = self._new_array(
-                        regs[instr.size],
-                        instr.inline_layout,
-                        instr.parallel_layout,
-                        instr.loc,
-                        instr.elem_class,
-                    )
-                elif kind is ir.MakeView:
-                    regs[instr.dest] = self._make_view(
-                        regs[instr.array], regs[instr.index], instr.class_name, instr.loc
-                    )
-                elif kind is ir.CallMethod:
-                    regs[instr.dest] = self._send(
-                        regs[instr.recv],
-                        instr.method_name,
-                        [regs[a] for a in instr.args],
-                        instr.loc,
-                    )
-                elif kind is ir.CallStatic:
-                    regs[instr.dest] = self._call_static(
-                        regs[instr.recv],
-                        instr.class_name,
-                        instr.method_name,
-                        [regs[a] for a in instr.args],
-                        instr.loc,
-                    )
-                elif kind is ir.CallFunction:
-                    fn = self.program.functions.get(instr.func_name)
-                    if fn is None:
-                        raise ReproRuntimeError(
-                            f"unknown function {instr.func_name!r}", instr.loc
-                        )
-                    stats.static_calls += 1
-                    regs[instr.dest] = self._call(fn, [regs[a] for a in instr.args])
-                elif kind is ir.CallBuiltin:
-                    stats.builtin_calls += 1
-                    try:
-                        regs[instr.dest] = call_builtin(
-                            instr.builtin_name,
-                            [regs[a] for a in instr.args],
-                            self.output,
-                        )
-                    except BuiltinError as exc:
-                        raise ReproRuntimeError(str(exc), instr.loc) from exc
-                elif kind is ir.GetGlobal:
-                    regs[instr.dest] = self.globals[instr.name]
-                elif kind is ir.SetGlobal:
-                    self.globals[instr.name] = regs[instr.src]
-                elif kind is ir.Jump:
-                    block_index = instr.target
-                    break
-                elif kind is ir.Branch:
-                    block_index = (
-                        instr.then_target
-                        if is_truthy(regs[instr.cond])
-                        else instr.else_target
-                    )
-                    break
-                elif kind is ir.Return:
-                    return None if instr.src is None else regs[instr.src]
+            for count, ops, steps in segments:
+                executed = stats.instructions + count
+                if executed > limit:
+                    self._step_to_limit(steps, regs)
+                stats.instructions = executed
+                for op in ops:
+                    op(regs)
+            if kind is _BRANCH:
+                cond = regs[a]
+                if cond is True or (cond is not False and is_truthy(cond)):
+                    segments, kind, a, b, c = blocks[b]
                 else:
-                    raise ReproRuntimeError(
-                        f"unhandled instruction {kind.__name__}", instr.loc
-                    )
+                    segments, kind, a, b, c = blocks[c]
+            elif kind is _JUMP:
+                segments, kind, a, b, c = blocks[a]
+            elif kind is _RETURN:
+                return None if a is None else regs[a]
             else:
-                raise ReproRuntimeError(f"{callable_.name}: fell off block B{block_index}")
+                raise ReproRuntimeError(
+                    f"{code.callable_.name}: fell off block B{a}"
+                )
+
+    def _step_to_limit(self, steps: tuple, regs: list[Value]) -> NoReturn:
+        """Run a segment that crosses the step budget one instruction at a
+        time: the instructions before the crossing one execute, and
+        :class:`StepLimitExceeded` names the crossing instruction.  Only
+        the last op may call out, and it is counted before it runs, so the
+        limit is always reached inside the segment.  (A move that its
+        producer performs may land a register write early; the run stops
+        right there, so nothing observes it.)"""
+        stats = self.stats
+        for loc, op in steps:
+            stats.instructions += 1
+            if stats.instructions > self._max_steps:
+                raise StepLimitExceeded(f"exceeded {self._max_steps} instructions", loc)
+            if op is not None:
+                op(regs)
+        raise AssertionError("segment ended below the step limit")
+
+    # ------------------------------------------------------------------
+    # Decoding.
+
+    def _decode(self, callable_: ir.IRCallable) -> _Code:
+        reads = Counter(
+            register for instr in callable_.instructions() for register in instr.sources()
+        )
+        formals = callable_.num_formals
+        code = _Code(
+            callable_=callable_,
+            num_formals=formals,
+            padding=[None] * (callable_.num_regs - formals),
+            blocks=[
+                self._decode_block(index, block, reads)
+                for index, block in enumerate(callable_.blocks)
+            ],
+        )
+        self._codes[id(callable_)] = code
+        return code
+
+    def _decode_block(self, index: int, block: ir.Block, reads: Counter) -> tuple:
+        segments: list[tuple] = []
+        ops: list = []
+        steps: list[tuple] = []
+        terminator: tuple = (_FELL_OFF, index, None, None)
+        instrs = block.instrs
+        elided = -1
+        for position, instr in enumerate(instrs):
+            kind = type(instr)
+            if kind is ir.Jump or kind is ir.Branch or kind is ir.Return:
+                steps.append((instr.loc, None))
+                if kind is ir.Jump:
+                    terminator = (_JUMP, instr.target, None, None)
+                elif kind is ir.Branch:
+                    terminator = (_BRANCH, instr.cond, instr.then_target, instr.else_target)
+                else:
+                    terminator = (_RETURN, instr.src, None, None)
+                break
+            if position == elided:
+                steps.append((instr.loc, None))
+                continue
+            decoder = self._DECODERS.get(kind)
+            if decoder is None:
+                op = self._unhandled(instr)
+            else:
+                # ``rX = ...; rY = rX`` with rX read nowhere else: the
+                # producer writes rY itself and the move is only counted.
+                following = instrs[position + 1] if position + 1 < len(instrs) else None
+                dest = instr.dst
+                if (
+                    type(following) is ir.Move
+                    and dest is not None
+                    and following.src == dest
+                    and reads[dest] == 1
+                ):
+                    instr = dataclasses.replace(instr, dest=following.dest)
+                    elided = position + 1
+                op = decoder(self, instr)
+            ops.append(op)
+            steps.append((instr.loc, op))
+            if kind in _CALLS:
+                segments.append((len(steps), tuple(ops), tuple(steps)))
+                ops, steps = [], []
+        if steps:
+            segments.append((len(steps), tuple(ops), tuple(steps)))
+        return (tuple(segments), *terminator)
+
+    @staticmethod
+    def _unhandled(instr: ir.Instr):
+        message = f"unhandled instruction {type(instr).__name__}"
+        loc = instr.loc
+
+        def unhandled(regs):
+            raise ReproRuntimeError(message, loc)
+
+        return unhandled
+
+    def _decode_const(self, instr: ir.Const):
+        dest, value = instr.dest, instr.value
+
+        def const(regs):
+            regs[dest] = value
+
+        return const
+
+    def _decode_move(self, instr: ir.Move):
+        dest, src = instr.dest, instr.src
+
+        def move(regs):
+            regs[dest] = regs[src]
+
+        return move
+
+    def _decode_binop(self, instr: ir.BinOp):
+        dest, lhs, rhs, op, loc = instr.dest, instr.lhs, instr.rhs, instr.op, instr.loc
+        binop = self._binop
+        numeric = _NUMERIC_BINOPS.get(op)
+        if numeric is None:
+
+            def checked(regs):
+                regs[dest] = binop(op, regs[lhs], regs[rhs], loc)
+
+            return checked
+
+        def arithmetic(regs):
+            left = regs[lhs]
+            right = regs[rhs]
+            if (type(left) is int or type(left) is float) and (
+                type(right) is int or type(right) is float
+            ):
+                regs[dest] = numeric(left, right)
+            else:
+                regs[dest] = binop(op, left, right, loc)
+
+        return arithmetic
+
+    def _decode_unop(self, instr: ir.UnOp):
+        dest, src, op, loc = instr.dest, instr.src, instr.op, instr.loc
+        if op == "!":
+
+            def negate(regs):
+                regs[dest] = not is_truthy(regs[src])
+
+            return negate
+        unop = self._unop
+
+        def checked(regs):
+            regs[dest] = unop(op, regs[src], loc)
+
+        return checked
+
+    def _decode_getfield(self, instr: ir.GetField):
+        dest, obj_reg, name, loc = instr.dest, instr.obj, instr.field_name, instr.loc
+        get_field = self._get_field
+        if self._locality is not None:
+
+            def labelled(regs):
+                regs[dest] = get_field(regs[obj_reg], name, loc)
+
+            return labelled
+        stats = self.stats
+        read_field = self.heap.read_field
+        read_inline_field = self.heap.read_inline_field
+        access = self.cache.access
+
+        def getfield(regs):
+            obj = regs[obj_reg]
+            kind = type(obj)
+            if kind is not ObjectRef and kind is not ViewRef:
+                regs[dest] = get_field(obj, name, loc)  # the checked path
+                return
+            stats.heap_reads += 1
+            try:
+                if kind is ObjectRef:
+                    value, address = read_field(obj, name)
+                else:
+                    value, address = read_inline_field(obj.array, obj.index, name)
+            except HeapError as exc:
+                raise ReproRuntimeError(str(exc), loc) from exc
+            access(address, False)
+            regs[dest] = value
+
+        return getfield
+
+    def _decode_setfield(self, instr: ir.SetField):
+        obj, name, src, loc = instr.obj, instr.field_name, instr.src, instr.loc
+        set_field = self._set_field
+
+        def setfield(regs):
+            set_field(regs[obj], name, regs[src], loc)
+
+        return setfield
+
+    def _decode_getfieldindexed(self, instr: ir.GetFieldIndexed):
+        dest, obj, index, loc = instr.dest, instr.obj, instr.index, instr.loc
+        base, length = instr.base_field, instr.length
+        get_field_indexed = self._get_field_indexed
+
+        def getfieldindexed(regs):
+            regs[dest] = get_field_indexed(regs[obj], base, length, regs[index], loc)
+
+        return getfieldindexed
+
+    def _decode_setfieldindexed(self, instr: ir.SetFieldIndexed):
+        obj, index, src, loc = instr.obj, instr.index, instr.src, instr.loc
+        base, length = instr.base_field, instr.length
+        set_field_indexed = self._set_field_indexed
+
+        def setfieldindexed(regs):
+            set_field_indexed(regs[obj], base, length, regs[index], regs[src], loc)
+
+        return setfieldindexed
+
+    def _decode_getindex(self, instr: ir.GetIndex):
+        dest, array, index, loc = instr.dest, instr.array, instr.index, instr.loc
+        get_index = self._get_index
+
+        def getindex(regs):
+            regs[dest] = get_index(regs[array], regs[index], loc)
+
+        return getindex
+
+    def _decode_setindex(self, instr: ir.SetIndex):
+        array, index, src, loc = instr.array, instr.index, instr.src, instr.loc
+        set_index = self._set_index
+
+        def setindex(regs):
+            set_index(regs[array], regs[index], regs[src], loc)
+
+        return setindex
+
+    def _decode_arraylen(self, instr: ir.ArrayLen):
+        dest, array_reg, loc = instr.dest, instr.array, instr.loc
+
+        def arraylen(regs):
+            array = regs[array_reg]
+            if not isinstance(array, ArrayRef):
+                raise ReproRuntimeError(
+                    f"len() of non-array {format_value(array)}", loc
+                )
+            regs[dest] = array.length
+
+        return arraylen
+
+    def _decode_new(self, instr: ir.New):
+        dest, class_name, loc = instr.dest, instr.class_name, instr.loc
+        flags = (instr.on_stack, instr.skip_init, instr.frame_local)
+        gather = _gatherer(instr.args)
+        new_object = self._new_object
+
+        def new(regs):
+            regs[dest] = new_object(class_name, gather(regs), loc, *flags)
+
+        return new
+
+    def _decode_newarray(self, instr: ir.NewArray):
+        dest, size, loc = instr.dest, instr.size, instr.loc
+        layout, parallel, elem_class = (
+            instr.inline_layout, instr.parallel_layout, instr.elem_class
+        )
+        new_array = self._new_array
+
+        def newarray(regs):
+            regs[dest] = new_array(regs[size], layout, parallel, loc, elem_class)
+
+        return newarray
+
+    def _decode_makeview(self, instr: ir.MakeView):
+        dest, array_reg, index_reg = instr.dest, instr.array, instr.index
+        class_name, loc = instr.class_name, instr.loc
+
+        def makeview(regs):
+            array = regs[array_reg]
+            index = regs[index_reg]
+            if not isinstance(array, ArrayRef) or array.inline_layout is None:
+                raise ReproRuntimeError(
+                    f"view into non-inline array {format_value(array)}", loc
+                )
+            if isinstance(index, bool) or not isinstance(index, int):
+                raise ReproRuntimeError("view index must be an int", loc)
+            if not (0 <= index < array.length):
+                raise ReproRuntimeError(
+                    f"view index {index} out of range [0, {array.length})", loc
+                )
+            regs[dest] = ViewRef(array, index, class_name)
+
+        return makeview
+
+    def _decode_callmethod(self, instr: ir.CallMethod):
+        dest, name, loc = instr.dest, instr.method_name, instr.loc
+        gather = _gatherer((instr.recv, *instr.args))
+        stats = self.stats
+        resolve = self._resolve
+        receiver_class = self._receiver_class
+        call = self._call
+
+        def callmethod(regs):
+            args = gather(regs)
+            class_name = receiver_class(args[0], loc)
+            method = resolve(class_name, name)
+            if method is None:
+                raise ReproRuntimeError(
+                    f"class {class_name!r} does not understand {name!r}", loc
+                )
+            stats.dynamic_dispatches += 1
+            regs[dest] = call(method, args)
+
+        return callmethod
+
+    def _decode_callstatic(self, instr: ir.CallStatic):
+        dest, class_name, name, loc = (
+            instr.dest, instr.class_name, instr.method_name, instr.loc
+        )
+        gather = _gatherer((instr.recv, *instr.args))
+        stats = self.stats
+        resolve = self._resolve
+        call = self._call
+
+        def callstatic(regs):
+            args = gather(regs)
+            method = resolve(class_name, name)
+            if method is None:
+                raise ReproRuntimeError(f"no method {class_name}::{name}", loc)
+            stats.static_calls += 1
+            regs[dest] = call(method, args)
+
+        return callstatic
+
+    def _decode_callfunction(self, instr: ir.CallFunction):
+        dest, name, loc = instr.dest, instr.func_name, instr.loc
+        gather = _gatherer(instr.args)
+        stats = self.stats
+        functions = self.program.functions
+        call = self._call
+
+        def callfunction(regs):
+            fn = functions.get(name)
+            if fn is None:
+                raise ReproRuntimeError(f"unknown function {name!r}", loc)
+            stats.static_calls += 1
+            regs[dest] = call(fn, gather(regs))
+
+        return callfunction
+
+    def _decode_callbuiltin(self, instr: ir.CallBuiltin):
+        dest, name, arg_regs, loc = instr.dest, instr.builtin_name, instr.args, instr.loc
+        stats = self.stats
+        output = self.output
+
+        def checked(args: list[Value]) -> Value:
+            try:
+                return call_builtin(name, args, output)
+            except BuiltinError as exc:
+                raise ReproRuntimeError(str(exc), loc) from exc
+
+        # The hot numeric builtins compute inline on numbers; anything
+        # else (and every error) goes through call_builtin.
+        if name in ("min", "max") and len(arg_regs) == 2:
+            pick = min if name == "min" else max
+            first, second = arg_regs
+
+            def minmax(regs):
+                stats.builtin_calls += 1
+                x = regs[first]
+                y = regs[second]
+                if (type(x) is int or type(x) is float) and (
+                    type(y) is int or type(y) is float
+                ):
+                    regs[dest] = pick(x, y)
+                else:
+                    regs[dest] = checked([x, y])
+
+            return minmax
+        if name == "sqrt" and len(arg_regs) == 1:
+            (only,) = arg_regs
+
+            def sqrt(regs):
+                stats.builtin_calls += 1
+                x = regs[only]
+                if (type(x) is int or type(x) is float) and x >= 0:
+                    regs[dest] = math.sqrt(x)
+                else:
+                    regs[dest] = checked([x])
+
+            return sqrt
+        gather = _gatherer(arg_regs)
+
+        def callbuiltin(regs):
+            stats.builtin_calls += 1
+            regs[dest] = checked(gather(regs))
+
+        return callbuiltin
+
+    def _decode_getglobal(self, instr: ir.GetGlobal):
+        dest, name = instr.dest, instr.name
+        globals_ = self.globals
+
+        def getglobal(regs):
+            regs[dest] = globals_[name]
+
+        return getglobal
+
+    def _decode_setglobal(self, instr: ir.SetGlobal):
+        name, src = instr.name, instr.src
+        globals_ = self.globals
+
+        def setglobal(regs):
+            globals_[name] = regs[src]
+
+        return setglobal
+
+    _DECODERS = {
+        ir.Const: _decode_const,
+        ir.Move: _decode_move,
+        ir.BinOp: _decode_binop,
+        ir.UnOp: _decode_unop,
+        ir.GetField: _decode_getfield,
+        ir.SetField: _decode_setfield,
+        ir.GetFieldIndexed: _decode_getfieldindexed,
+        ir.SetFieldIndexed: _decode_setfieldindexed,
+        ir.GetIndex: _decode_getindex,
+        ir.SetIndex: _decode_setindex,
+        ir.ArrayLen: _decode_arraylen,
+        ir.New: _decode_new,
+        ir.NewArray: _decode_newarray,
+        ir.MakeView: _decode_makeview,
+        ir.CallMethod: _decode_callmethod,
+        ir.CallStatic: _decode_callstatic,
+        ir.CallFunction: _decode_callfunction,
+        ir.CallBuiltin: _decode_callbuiltin,
+        ir.GetGlobal: _decode_getglobal,
+        ir.SetGlobal: _decode_setglobal,
+    }
+
+    # ------------------------------------------------------------------
+    # Dispatch.
+
+    def _receiver_class(self, recv: Value, loc: SourceLocation) -> str:
+        if isinstance(recv, (ObjectRef, ViewRef)):
+            return recv.class_name
+        raise ReproRuntimeError(
+            f"message send to non-object {format_value(recv)}", loc
+        )
+
+    def _resolve(self, class_name: str, method_name: str) -> ir.IRCallable | None:
+        """``program.resolve_method``'s callable, memoised for the run."""
+        key = (class_name, method_name)
+        method = self._methods.get(key, _UNRESOLVED)
+        if method is _UNRESOLVED:
+            resolved = self.program.resolve_method(class_name, method_name)
+            method = self._methods[key] = None if resolved is None else resolved[1]
+        return method
+
+    def _layout(self, class_name: str) -> tuple[str, ...]:
+        """``program.layout`` as a tuple, memoised (and so shared) per class."""
+        layout = self._layouts.get(class_name)
+        if layout is None:
+            layout = self._layouts[class_name] = tuple(self.program.layout(class_name))
+        return layout
 
     # ------------------------------------------------------------------
     # Heap operations.
@@ -360,10 +784,9 @@ class Interpreter:
         skip_init: bool = False,
         frame_local: bool = False,
     ) -> Value:
-        cls = self.program.classes.get(class_name)
-        if cls is None:
+        if class_name not in self.program.classes:
             raise ReproRuntimeError(f"unknown class {class_name!r}", loc)
-        layout = tuple(self.program.layout(class_name))
+        layout = self._layout(class_name)
         site = self._site(loc) if self._locality is not None else None
         ref = self.heap.alloc_object(
             class_name, layout, on_stack, alloc_site=site, frame_local=frame_local
@@ -404,14 +827,13 @@ class Interpreter:
 
         if skip_init:
             return ref
-        resolved = self.program.resolve_method(class_name, "init")
-        if resolved is None:
+        init = self._resolve(class_name, "init")
+        if init is None:
             if args:
                 raise ReproRuntimeError(
                     f"class {class_name!r} has no init but got constructor args", loc
                 )
             return ref
-        _, init = resolved
         self.stats.static_calls += 1  # constructor calls are statically bound
         self._call(init, [ref, *args])
         return ref
@@ -432,7 +854,7 @@ class Interpreter:
         if inline_layout is not None:
             if inline_layout not in self.program.classes:
                 raise ReproRuntimeError(f"unknown inline class {inline_layout!r}", loc)
-            inline_fields = tuple(self.program.layout(inline_layout))
+            inline_fields = self._layout(inline_layout)
         site = self._site(loc) if self._locality is not None else None
         ref = self.heap.alloc_array(
             size,
@@ -462,21 +884,6 @@ class Interpreter:
                 label=("alloc", class_label, None, site),
             )
         return ref
-
-    def _make_view(
-        self, array: Value, index: Value, class_name: str, loc: SourceLocation
-    ) -> Value:
-        if not isinstance(array, ArrayRef) or array.inline_layout is None:
-            raise ReproRuntimeError(
-                f"view into non-inline array {format_value(array)}", loc
-            )
-        if isinstance(index, bool) or not isinstance(index, int):
-            raise ReproRuntimeError(f"view index must be an int", loc)
-        if not (0 <= index < array.length):
-            raise ReproRuntimeError(
-                f"view index {index} out of range [0, {array.length})", loc
-            )
-        return ViewRef(array, index, class_name)
 
     def _get_field(self, obj: Value, field_name: str, loc: SourceLocation) -> Value:
         self.stats.heap_reads += 1
@@ -623,46 +1030,6 @@ class Interpreter:
             )
 
     # ------------------------------------------------------------------
-    # Calls.
-
-    def _receiver_class(self, recv: Value, loc: SourceLocation) -> str:
-        if isinstance(recv, (ObjectRef, ViewRef)):
-            return recv.class_name
-        raise ReproRuntimeError(
-            f"message send to non-object {format_value(recv)}", loc
-        )
-
-    def _send(
-        self, recv: Value, method_name: str, args: list[Value], loc: SourceLocation
-    ) -> Value:
-        class_name = self._receiver_class(recv, loc)
-        resolved = self.program.resolve_method(class_name, method_name)
-        if resolved is None:
-            raise ReproRuntimeError(
-                f"class {class_name!r} does not understand {method_name!r}", loc
-            )
-        self.stats.dynamic_dispatches += 1
-        _, method = resolved
-        return self._call(method, [recv, *args])
-
-    def _call_static(
-        self,
-        recv: Value,
-        class_name: str,
-        method_name: str,
-        args: list[Value],
-        loc: SourceLocation,
-    ) -> Value:
-        resolved = self.program.resolve_method(class_name, method_name)
-        if resolved is None:
-            raise ReproRuntimeError(
-                f"no method {class_name}::{method_name}", loc
-            )
-        self.stats.static_calls += 1
-        _, method = resolved
-        return self._call(method, [recv, *args])
-
-    # ------------------------------------------------------------------
     # Operators.
 
     @staticmethod
@@ -700,8 +1067,6 @@ class Interpreter:
                 # C-style: remainder takes the dividend's sign.
                 remainder = abs(lhs) % abs(rhs)
                 return remainder if lhs >= 0 else -remainder
-            import math
-
             return math.fmod(lhs, rhs)
         elif op in ("<", "<=", ">", ">="):
             if both_numbers or (isinstance(lhs, str) and isinstance(rhs, str)):

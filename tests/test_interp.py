@@ -7,6 +7,7 @@ from repro.ir import compile_source
 from repro.runtime.interp import Interpreter
 
 from conftest import output_of, run_source
+from vm_golden import STEP_LIMIT_SOURCE
 
 
 class TestArithmetic:
@@ -291,3 +292,93 @@ class TestVMLimits:
             "def main() { rec(50); }"
         )
         assert result.stats.max_call_depth >= 50
+
+
+class TestLimitAndErrorExactness:
+    """The VM charges instructions per call-free segment; a budget that
+    runs out mid-segment must still stop at exactly the instruction, and
+    errors must keep their message and ``file:line``.  The expected
+    locations below were recorded on the per-instruction interpreter the
+    segmented one replaced (test_vm_golden.py checks every budget of
+    ``STEP_LIMIT_SOURCE``)."""
+
+    CALLS = STEP_LIMIT_SOURCE
+
+    def _stopped_at(self, max_steps):
+        interpreter = Interpreter(compile_source(self.CALLS, "limits.icc"), max_steps=max_steps)
+        with pytest.raises(StepLimitExceeded) as info:
+            interpreter.run()
+        return str(info.value), interpreter.stats.instructions
+
+    @pytest.mark.parametrize(
+        "max_steps, where",
+        [
+            # The callee returns with the budget spent: the caller's next
+            # instruction, mid-block after the call, is the one refused.
+            (64, "limits.icc:11:22"),
+            # The budget runs out inside the callee.
+            (61, "limits.icc:4:16"),
+            # Inside the constructor the New instruction called.
+            (3, "limits.icc:3:21"),
+        ],
+        ids=["after-call", "in-callee", "in-constructor"],
+    )
+    def test_step_limit_names_the_crossing_instruction(self, max_steps, where):
+        message, executed = self._stopped_at(max_steps)
+        assert message == f"{where}: exceeded {max_steps} instructions"
+        assert executed == max_steps + 1
+
+    def test_heap_limit_raised_at_the_same_allocation(self):
+        from repro.runtime import HeapLimitExceeded
+
+        source = """class P { var a; var b; def init(v) { this.a = v; this.b = v; } }
+def main() {
+  var keep = array(4);
+  var i = 0;
+  while (i < 100) {
+    var p = new P(i);
+    keep[i % 4] = p;
+    i = i + 1;
+  }
+}
+"""
+        interpreter = Interpreter(compile_source(source, "heap.icc"), max_heap_cells=60)
+        with pytest.raises(HeapLimitExceeded) as info:
+            interpreter.run()
+        assert str(info.value) == "heap.icc:6:13: exceeded 60 heap cells"
+        assert interpreter.stats.allocations == 20
+        assert interpreter.stats.allocated_slots == 63
+
+    @pytest.mark.parametrize(
+        "source, message",
+        [
+            (
+                'def main() {\n  var a = 1;\n  var b = a + 2;\n  var c = b * "x";\n  print(c);\n}\n',
+                "err.icc:4:13: invalid operands for '*': 3, x",
+            ),
+            (
+                "class Q { var f; }\ndef main() {\n  var q = new Q();\n  var n = nil;\n"
+                "  var s = q.f;\n  print(n.f);\n}\n",
+                "err.icc:6:10: field access .f on non-object nil",
+            ),
+        ],
+        ids=["operand-type", "field-of-nil"],
+    )
+    def test_runtime_error_inside_a_segment_keeps_message_and_line(self, source, message):
+        with pytest.raises(ReproRuntimeError) as info:
+            Interpreter(compile_source(source, "err.icc")).run()
+        assert str(info.value) == message
+
+    def test_finished_run_frees_the_interpreter_without_the_cycle_collector(self):
+        import gc
+        import weakref
+
+        interpreter = Interpreter(compile_source(self.CALLS))
+        interpreter.run()
+        ref = weakref.ref(interpreter)
+        gc.disable()
+        try:
+            del interpreter
+            assert ref() is None
+        finally:
+            gc.enable()
