@@ -12,7 +12,7 @@ Run:  python examples/complex_kernel.py [N]
 
 import sys
 
-from repro import compile_source, optimize, run_program
+from repro import Session
 
 TEMPLATE = """
 class Complex {
@@ -51,11 +51,11 @@ def main() {
 
 def main() -> None:
     n = int(sys.argv[1]) if len(sys.argv) > 1 else 256
-    program = compile_source(TEMPLATE % {"n": n}, "complex_kernel.icc")
+    session = Session(TEMPLATE % {"n": n}, path="complex_kernel.icc")
 
-    base = run_program(program)
-    report = optimize(program)
-    optimized = run_program(report.program)
+    base = session.run()
+    report = session.optimize()
+    optimized = session.run("inline")
     assert optimized.output == base.output
 
     print("output:", base.output[0])

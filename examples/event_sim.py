@@ -13,7 +13,7 @@ It also shows a limitation faithfully: tickets placed into the recycled
 Run:  python examples/event_sim.py
 """
 
-from repro import compile_source, optimize, run_program
+from repro import Session
 
 SOURCE = """
 class Ticket {
@@ -75,10 +75,10 @@ def main() {
 
 
 def main() -> None:
-    program = compile_source(SOURCE, "event_sim.icc")
-    base = run_program(program)
-    report = optimize(program)
-    optimized = run_program(report.program)
+    session = Session(SOURCE, path="event_sim.icc")
+    base = session.run()
+    report = session.optimize()
+    optimized = session.run("inline")
     assert optimized.output == base.output
 
     print("simulation output:", base.output[0])

@@ -8,7 +8,7 @@ what the analysis decided, and compares the two builds on the VM.
 Run:  python examples/quickstart.py
 """
 
-from repro import compile_source, optimize, run_program
+from repro import Session
 from repro.ir import format_callable
 
 SOURCE = """
@@ -45,15 +45,15 @@ def main() {
 
 
 def main() -> None:
-    program = compile_source(SOURCE, "quickstart.icc")
+    session = Session(SOURCE, path="quickstart.icc")
 
     print("=== running the uniform-model program ===")
-    base = run_program(program)
+    base = session.run()
     for line in base.output:
         print(" ", line)
 
     print("\n=== object inlining decisions ===")
-    report = optimize(program)
+    report = session.optimize()
     for candidate in report.plan.candidates.values():
         verdict = "inlined" if candidate.accepted else f"kept as reference ({candidate.reject_reason})"
         print(f"  {candidate.describe():25s} -> {verdict}")
@@ -70,7 +70,7 @@ def main() -> None:
             break
 
     print("\n=== performance on the instrumented VM ===")
-    optimized = run_program(report.program)
+    optimized = session.run("inline")
     assert optimized.output == base.output, "outputs must match!"
     for label, stats in (("uniform", base.stats), ("inlined", optimized.stats)):
         print(

@@ -34,10 +34,7 @@ long-lived drivers.  The **compile service** builds on all three::
     repro serve --socket /tmp/repro.sock     # async compile daemon
     repro loadgen --requests 500             # latency/throughput client
 
-(see :mod:`repro.service` and docs/SERVICE.md).  The classic one-shot
-functions (``compile_source``/``analyze``/``optimize``/``run_program``)
-remain as deprecated shims; use :class:`Session` or the subpackage
-primitives (:func:`repro.ir.compile_source`, ...) instead.
+(see :mod:`repro.service` and docs/SERVICE.md).
 """
 
 from .analysis import AnalysisCache, AnalysisConfig, AnalysisResult
@@ -58,10 +55,6 @@ from .session import (
     CompileConfig,
     Session,
     SessionPool,
-    analyze,
-    compile_source,
-    optimize,
-    run_program,
     source_key,
 )
 
@@ -69,14 +62,12 @@ __version__ = "1.0.0"
 
 __all__ = [
     "__version__",
-    "analyze",
     "AnalysisCache",
     "AnalysisConfig",
     "AnalysisResult",
     "CacheConfig",
     "Candidate",
     "CompileConfig",
-    "compile_source",
     "CostModel",
     "DecisionEngine",
     "ExecutionStats",
@@ -84,13 +75,11 @@ __all__ = [
     "InlinePlan",
     "Interpreter",
     "NULL_TRACER",
-    "optimize",
     "Tracer",
     "tracer_to_file",
     "OptimizeReport",
     "parse_program",
     "ReproRuntimeError",
-    "run_program",
     "RunResult",
     "Session",
     "SessionPool",

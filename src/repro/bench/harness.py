@@ -13,8 +13,8 @@ The (benchmark, build) pairs of the matrix are independent, so
 over a process pool.  Each worker owns its tracer and analysis cache and
 returns a picklable :class:`_PairResult`; the parent reassembles the
 exact :class:`BenchmarkRun` structures of the serial path (same build
-order, same divergence checks, same trace-event schema), so figures,
-reports, and baselines are bit-identical either way.  Every build gets
+order, same divergence checks, same trace-event schema), so figures
+and reports are bit-identical either way.  Every build gets
 its own single-owner :class:`~repro.obs.Tracer` unconditionally — serial
 or parallel — and the per-build events/aggregates are merged into the
 caller's tracer at join (see docs/OBSERVABILITY.md).
@@ -306,8 +306,8 @@ def _run_matrix(
     data identical to a serial run.  Note that pair granularity means a
     worker cannot reuse another build's analysis fixpoint (each owns its
     cache), so per-phase *timings* differ from a serial run even though
-    every figure-visible quantity is identical; record and check
-    baselines with the same ``--jobs`` mode.
+    every figure-visible quantity is identical; the perf-history check
+    therefore pools samples per ``--jobs`` mode.
     """
     anchor = _anchor_build(builds)
     tasks = [
@@ -355,12 +355,17 @@ def run_all(
     }
 
 
-def run_performance_suite(jobs: int = 1, **kwargs) -> dict[str, BenchmarkRun]:
-    """Run the Figure 17 program set (polyover split by variant)."""
-    specs = {
+def performance_specs() -> dict[str, tuple[str, BenchmarkInfo | None]]:
+    """The Figure 17 spec dict (what ``repro bench`` measures by default)."""
+    return {
         name: (source, BENCHMARKS.get(name, (None, None))[1])
         for name, source in PERFORMANCE_PROGRAMS.items()
     }
+
+
+def run_performance_suite(jobs: int = 1, **kwargs) -> dict[str, BenchmarkRun]:
+    """Run the Figure 17 program set (polyover split by variant)."""
+    specs = performance_specs()
     if jobs > 1:
         return _run_matrix(specs, PERFORMANCE_BUILDS, jobs, **kwargs)
     results: dict[str, BenchmarkRun] = {}
@@ -373,23 +378,19 @@ def run_performance_suite(jobs: int = 1, **kwargs) -> dict[str, BenchmarkRun]:
 # Repeated runs: the sample sheets the perf-history ledger records.
 
 
-def performance_specs() -> dict[str, tuple[str, BenchmarkInfo | None]]:
-    """The Figure 17 spec dict (what ``repro bench`` measures by default)."""
-    return {
-        name: (source, BENCHMARKS.get(name, (None, None))[1])
-        for name, source in PERFORMANCE_PROGRAMS.items()
-    }
-
-
 def _locality_totals(locality: dict | None) -> dict | None:
-    """Collapse a bounded locality summary to ledger totals."""
+    """Collapse a locality summary to ledger totals.
+
+    The heatmap's totals are exact; the label summary is truncated to
+    its top-k labels and would undercount.
+    """
     if not locality:
         return None
-    misses = accesses = 0
-    for entry in locality.get("labels", []):
-        misses += int(entry.get("misses", 0))
-        accesses += int(entry.get("accesses", 0))
-    return {"misses": misses, "accesses": accesses}
+    heatmap = locality["heatmap"]
+    return {
+        "misses": int(heatmap["total_misses"]),
+        "accesses": int(heatmap["total_accesses"]),
+    }
 
 
 def _config_descriptor(obj: object) -> object:
@@ -406,7 +407,7 @@ class SuiteSamples:
     """``repeat`` suite runs folded into per-(benchmark, build) samples.
 
     ``runs`` is the final repetition's full :class:`BenchmarkRun` dict —
-    figures, reports, and the baseline gate consume it exactly as they
+    figures and reports consume it exactly as they
     would a single run.  ``samples`` is the ledger payload: every
     repetition's cycles and wall times as parallel sample lists, which
     is what the statistical check (:mod:`repro.obs.history`) pools.

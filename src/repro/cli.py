@@ -10,8 +10,7 @@ Usage::
     repro ir PROGRAM.icc [--optimized]
     repro codegen PROGRAM.icc [--optimized]
     repro bench --figure {14,15,16,17,all} [--jobs N] [--repeat N] [--trace FILE] [--locality]
-    repro bench --check [--repeat N] [--history FILE] [--baseline FILE]
-    repro bench --check-baseline | --update-baseline [--baseline FILE] [--jobs N]
+    repro bench --check [--jobs N] [--repeat N] [--locality] [--history FILE] [--no-record]
     repro perf record | list | diff REV1 REV2 | trend METRIC [--history FILE]
     repro export chrome TRACE [TRACE2 ...] [-o FILE]
     repro export flame TRACE [TRACE2 ...] [-o FILE]
@@ -34,8 +33,10 @@ event schema.
 
 Performance history: ``repro bench`` (and ``repro perf record``) append
 each measured run to the ``PERF_HISTORY.jsonl`` ledger; ``repro bench
---check`` issues statistical pass/regressed/improved verdicts against
-the ledger's recent window; ``repro perf list/diff/trend`` browse it.
+--check`` is the perf gate: statistical pass/regressed/improved
+verdicts against the ledger's recent window, above a 50 ms noise floor,
+and a failure for anything the newest comparable entry measured that
+the run lacks; ``repro perf list/diff/trend`` browse it.
 ``repro export chrome|flame`` converts a span trace for Perfetto or
 speedscope/flamegraph.pl.
 
@@ -60,13 +61,7 @@ import json
 import sys
 
 from .bench import figures as bench_figures
-from .bench.baseline import (
-    DEFAULT_BASELINE_PATH,
-    check_baseline,
-    load_baseline,
-    write_baseline,
-)
-from .bench.harness import run_all, run_performance_suite, run_suite_samples
+from .bench.harness import run_all, run_suite_samples
 from .codegen import generate
 from .ir import format_program
 from .obs import (
@@ -334,37 +329,14 @@ def cmd_bench(args: argparse.Namespace) -> int:
     locality = args.locality
     try:
         if args.check:
-            # Statistical gate: verdicts from the ledger's recent window,
-            # falling back to the single-sample baseline where history is
-            # too thin (fresh clones stay protected).
-            try:
-                baseline = load_baseline(args.baseline)
-            except (OSError, json.JSONDecodeError):
-                baseline = None
-            samples, entry = _measure_suite_entry(args, tracer, jobs)
+            # The perf gate: verdicts against the ledger's recent window.
+            _, entry = _measure_suite_entry(args, tracer, jobs)
             history = load_history(args.history)
-            verdicts = check_entry(entry, history, baseline=baseline)
+            verdicts = check_entry(entry, history)
             print(render_verdicts(verdicts))
             if not args.no_record:
                 _record_entry(args, entry, history)
             return 1 if any(v.failed for v in verdicts) else 0
-        if args.check_baseline or args.update_baseline:
-            # The gate only compares compile-phase timings, so locality
-            # attribution (a run-time feature) cannot perturb the verdict;
-            # enabling it here just enriches the emitted trace.
-            runs = run_performance_suite(tracer=tracer, jobs=jobs, locality=locality)
-            if args.update_baseline:
-                path = write_baseline(args.baseline, runs)
-                print(f"wrote {path}")
-                return 0
-            regressions = check_baseline(runs, load_baseline(args.baseline))
-            if regressions:
-                print(f"{len(regressions)} phase regression(s) vs {args.baseline}:")
-                for line in regressions:
-                    print(f"  {line}")
-                return 1
-            print(f"phase timings within tolerance of {args.baseline}")
-            return 0
         if args.output:
             from .bench.report import write_report
 
@@ -858,18 +830,6 @@ def main(argv: list[str] | None = None) -> int:
         "--output", metavar="FILE", help="write the full markdown report to FILE"
     )
     bench_parser.add_argument(
-        "--check-baseline", action="store_true",
-        help="fail if any compile phase regresses beyond the stored baseline",
-    )
-    bench_parser.add_argument(
-        "--update-baseline", action="store_true",
-        help="re-measure and overwrite the stored phase-time baseline",
-    )
-    bench_parser.add_argument(
-        "--baseline", metavar="FILE", default=DEFAULT_BASELINE_PATH,
-        help=f"baseline file for --check/--update-baseline (default {DEFAULT_BASELINE_PATH})",
-    )
-    bench_parser.add_argument(
         "--jobs", type=int, default=1, metavar="N",
         help="fan (benchmark, build) pairs over N worker processes "
         "(default 1 = serial; figures are identical either way)",
@@ -886,9 +846,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     bench_parser.add_argument(
         "--check", action="store_true",
-        help="statistical regression check: verdicts vs the perf-history "
-        "ledger's recent window (median + MAD), with BENCH_BASELINE.json "
-        "as fallback while history is thin",
+        help="perf gate: verdicts vs the perf-history ledger's recent "
+        "window (median + MAD above a 50 ms noise floor); a benchmark, "
+        "build or phase missing from the run also fails",
     )
     bench_parser.add_argument(
         "--history", metavar="FILE", default=DEFAULT_HISTORY_PATH,

@@ -376,12 +376,6 @@ def write_collapsed(path: str, events: Iterable[dict]) -> int:
 # File-level conveniences (CLI entry points).
 
 
-def load_trace_events(path: str) -> tuple[list[dict], int]:
-    """Events and malformed-line count of one JSONL trace file."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return read_events(handle)
-
-
 def _load_many(trace_paths: str | Iterable[str]) -> list[dict]:
     """Concatenated events of one or many trace files.
 
@@ -394,7 +388,7 @@ def _load_many(trace_paths: str | Iterable[str]) -> list[dict]:
     events: list[dict] = []
     offset = 0
     for path in trace_paths:
-        loaded, _ = load_trace_events(path)
+        loaded, _ = read_events(path)
         # Each file numbers its spans locally from 1, so concatenating
         # raw streams would collide ids across files (breaking begin/end
         # pairing).  Shift every file's ids past the previous maximum —

@@ -131,8 +131,7 @@ def collect_locality(events: list[dict]) -> LocalityReport:
 
 
 def locality_from_file(path: str) -> LocalityReport:
-    with open(path, "r", encoding="utf-8") as handle:
-        events, _malformed = read_events(handle)
+    events, _malformed = read_events(path)
     return collect_locality(events)
 
 

@@ -1,9 +1,7 @@
-"""The performance-history ledger and its statistical regression check.
+"""The performance-history ledger and the repo's one perf gate.
 
 One-shot snapshots cannot carry a throughput claim: a single sample per
-phase says nothing about run-to-run noise, and the old baseline gate
-(``max(baseline, 10ms) * 1.3``) had to be re-recorded by hand after
-every intentional change.  This module replaces that with a durable,
+phase says nothing about run-to-run noise.  This module keeps a durable,
 append-only record of every measured run plus a distribution-aware
 verdict:
 
@@ -17,11 +15,14 @@ verdict:
 - **Check** — ``repro bench --check`` estimates each phase's noise from
   the ledger's recent window (median + MAD, the robust estimators) and
   issues a pass/regressed/improved verdict per (benchmark, build,
-  phase), quoting the measured distribution.  Wall-time verdicts gate;
-  cycle verdicts are deterministic (the VM is simulated) and reported
-  as informational deltas.  With too little history the check falls
-  back to the single-sample ``BENCH_BASELINE.json`` gate, so a fresh
-  clone is still protected.
+  phase), quoting the measured distribution.  A phase regresses only
+  when it exceeds both the history median plus the regression margin
+  and the absolute ``NOISE_FLOOR_SECONDS``.  Anything the newest
+  comparable entry holds but the measured run lacks (a benchmark, build
+  or phase) fails as drift; ``repro perf record`` re-arms the gate after
+  an intended rename.  Phases with fewer than ``MIN_HISTORY_SAMPLES``
+  pooled samples pass ungated.  Cycle verdicts are deterministic (the VM
+  is simulated) and reported as informational deltas.
 - **Reports** — ``repro perf list`` / ``diff REV1 REV2`` /
   ``trend METRIC``: the ledger rendered as tables, a jitdiff-style
   base-vs-diff comparison between two recorded revisions, and ASCII
@@ -42,9 +43,11 @@ import socket
 import subprocess
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-#: Default ledger location (repo root, next to BENCH_BASELINE.json).
+from .summary import read_events
+
+#: Default ledger location (repo root).
 DEFAULT_HISTORY_PATH = "PERF_HISTORY.jsonl"
 
 #: Ledger schema version, bumped on incompatible changes.
@@ -54,7 +57,7 @@ LEDGER_VERSION = 1
 RECENT_WINDOW = 20
 
 #: Minimum pooled wall-time samples before the statistical verdict is
-#: trusted; below this the check falls back to the baseline gate.
+#: trusted; below this a phase passes ungated as ``no-history``.
 MIN_HISTORY_SAMPLES = 3
 
 #: MAD -> sigma for normally distributed noise.
@@ -70,6 +73,11 @@ REL_SLACK = 0.25
 
 #: Absolute slack in seconds: sub-5ms wiggles never flag.
 ABS_SLACK = 0.005
+
+#: Absolute noise floor: a phase measured below this never regresses,
+#: however small its history.  Absorbs the scheduler jitter of
+#: millisecond phases under ``--jobs N``.
+NOISE_FLOOR_SECONDS = 0.050
 
 
 # ----------------------------------------------------------------------
@@ -188,19 +196,8 @@ def load_history(path: str) -> list[dict]:
     """All well-formed entries, oldest first; missing file reads empty."""
     if not os.path.exists(path):
         return []
-    entries: list[dict] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if isinstance(record, dict) and isinstance(record.get("benchmarks"), dict):
-                entries.append(record)
-    return entries
+    records, _malformed = read_events(path)
+    return [r for r in records if isinstance(r.get("benchmarks"), dict)]
 
 
 def comparable_entries(
@@ -219,14 +216,19 @@ def comparable_entries(
 
 @dataclass(slots=True)
 class Verdict:
-    """One (benchmark, build, metric) comparison against history."""
+    """One (benchmark, build, metric) comparison against history.
+
+    A ``missing`` verdict names something the newest comparable entry
+    holds but the measured run lacks; its ``build`` and ``metric`` are
+    empty when a whole benchmark (or build) is missing.
+    """
 
     benchmark: str
     build: str
-    metric: str  # phase name, "cycles", "optimize_seconds", ...
-    verdict: str  # "pass" | "regressed" | "improved" | "no-history"
-    measured: float
-    measured_n: int
+    metric: str  # phase name, "cycles", or "" for a missing build/benchmark
+    verdict: str  # "pass" | "regressed" | "improved" | "no-history" | "missing"
+    measured: float = 0.0
+    measured_n: int = 0
     history_median: float | None = None
     history_mad: float | None = None
     history_n: int = 0
@@ -234,16 +236,20 @@ class Verdict:
     #: Whether this verdict participates in the gate's exit status.
     #: Wall-time phases gate; deterministic cycle deltas inform.
     gates: bool = True
-    #: "history" (statistical), "baseline" (compat fallback), or "none".
-    source: str = "history"
 
     @property
     def failed(self) -> bool:
-        return self.gates and self.verdict == "regressed"
+        return self.gates and self.verdict in ("regressed", "missing")
 
     def describe(self) -> str:
         """One line quoting the measured value against the distribution."""
-        where = f"{self.benchmark}/{self.build}/{self.metric}"
+        where = "/".join(p for p in (self.benchmark, self.build, self.metric) if p)
+        if self.verdict == "missing":
+            kind = "phase" if self.metric else "build" if self.build else "benchmark"
+            return (
+                f"{where}: {kind} missing from the measured run — renamed or "
+                "removed? (run `repro perf record` to re-arm the gate if intended)"
+            )
         if self.metric == "cycles":
             base = self.history_median
             delta = ""
@@ -251,12 +257,6 @@ class Verdict:
                 delta = f" ({(self.measured - base) / base:+.2%} vs median {base:.0f})"
             return f"{where}: {self.verdict} — {self.measured:.0f} cycles{delta}"
         measured = f"{self.measured * 1e3:.2f}ms (median of {self.measured_n})"
-        if self.source == "baseline":
-            return (
-                f"{where}: {self.verdict} — {measured} vs single-sample "
-                f"baseline {self.history_median * 1e3:.2f}ms (compat gate; "
-                f"<{MIN_HISTORY_SAMPLES} ledger samples)"
-            )
         if self.history_n == 0 or self.history_median is None:
             return f"{where}: {self.verdict} — {measured}, no comparable history"
         return (
@@ -288,37 +288,31 @@ def _history_cycles(history: list[dict], benchmark: str, build: str) -> list[flo
     return values
 
 
-def _baseline_verdict(
-    benchmark: str, build: str, phase: str, measured: float, n: int, baseline: dict
-) -> Verdict | None:
-    """The old single-sample gate, applied to one phase (compat fallback)."""
-    from ..bench.baseline import phase_gate
-
-    expected = (
-        baseline.get("phases", {}).get(benchmark, {}).get(build, {}).get(phase)
-    )
-    if expected is None:
-        return None
-    gate, noise_floor = phase_gate(baseline, expected)
-    verdict = "regressed" if (measured > gate and measured > noise_floor) else "pass"
-    return Verdict(
-        benchmark=benchmark,
-        build=build,
-        metric=phase,
-        verdict=verdict,
-        measured=measured,
-        measured_n=n,
-        history_median=float(expected),
-        history_n=1,
-        margin=gate - float(expected),
-        source="baseline",
-    )
+def _missing_verdicts(entry: dict, newest: dict) -> list[Verdict]:
+    """Drift: every benchmark, build or phase of ``newest`` that the
+    measured ``entry`` lacks.  Without this, a renamed span would simply
+    stop being compared and pass forever."""
+    measured = entry.get("benchmarks", {})
+    missing: list[Verdict] = []
+    for benchmark, builds in sorted(newest.get("benchmarks", {}).items()):
+        if benchmark not in measured:
+            missing.append(Verdict(benchmark, "", "", "missing"))
+            continue
+        for build, data in sorted(builds.items()):
+            measured_build = measured[benchmark].get(build)
+            if measured_build is None:
+                missing.append(Verdict(benchmark, build, "", "missing"))
+                continue
+            measured_phases = measured_build.get("phases", {})
+            for phase in sorted(data.get("phases", {})):
+                if phase not in measured_phases:
+                    missing.append(Verdict(benchmark, build, phase, "missing"))
+    return missing
 
 
 def check_entry(
     entry: dict,
     history: list[dict],
-    baseline: dict | None = None,
     window: int = RECENT_WINDOW,
     min_samples: int = MIN_HISTORY_SAMPLES,
 ) -> list[Verdict]:
@@ -327,17 +321,20 @@ def check_entry(
     Pools each phase's wall-time samples from the last ``window``
     comparable entries (same config hash, same ``--jobs``), estimates
     noise as median + MAD, and issues a verdict per (benchmark, build,
-    phase).  Phases with fewer than ``min_samples`` pooled samples fall
-    back to ``baseline`` (the legacy single-sample gate) when one is
-    given, else pass as ``no-history``.  Cycle verdicts are computed
-    against the history median but never gate — the simulated VM is
-    deterministic, so any cycle change is an intentional code change,
-    not noise; the deltas are surfaced for the reviewer.
+    phase).  A phase regresses only above both the history median plus
+    :func:`regression_margin` and ``NOISE_FLOOR_SECONDS``; phases with
+    fewer than ``min_samples`` pooled samples pass as ``no-history``.
+    Whatever the newest comparable entry holds but ``entry`` lacks fails
+    as ``missing``; phases new in ``entry`` pass ungated.  Cycle
+    verdicts are computed against the history median but never gate —
+    the simulated VM is deterministic, so any cycle change is an
+    intentional code change, not noise; the deltas are surfaced for the
+    reviewer.
     """
     recent = comparable_entries(
         history, entry.get("config_key", ""), entry.get("env", {}).get("jobs")
     )[-window:]
-    verdicts: list[Verdict] = []
+    verdicts = _missing_verdicts(entry, recent[-1]) if recent else []
     for benchmark, builds in sorted(entry.get("benchmarks", {}).items()):
         for build, data in sorted(builds.items()):
             # Wall-time phases: the gating, noise-aware comparison.
@@ -347,14 +344,8 @@ def check_entry(
                 measured = median([float(s) for s in samples])
                 pooled = _pooled_phase_samples(recent, benchmark, build, phase)
                 if len(pooled) < min_samples:
-                    fallback = None
-                    if baseline is not None:
-                        fallback = _baseline_verdict(
-                            benchmark, build, phase, measured, len(samples), baseline
-                        )
                     verdicts.append(
-                        fallback
-                        or Verdict(
+                        Verdict(
                             benchmark=benchmark,
                             build=build,
                             metric=phase,
@@ -362,14 +353,13 @@ def check_entry(
                             measured=measured,
                             measured_n=len(samples),
                             history_n=len(pooled),
-                            source="none",
                         )
                     )
                     continue
                 center = median(pooled)
                 spread = mad(pooled)
                 margin = regression_margin(pooled)
-                if measured > center + margin:
+                if measured > center + margin and measured > NOISE_FLOOR_SECONDS:
                     verdict = "regressed"
                 elif measured < center - margin:
                     verdict = "improved"
@@ -414,7 +404,6 @@ def check_entry(
                         history_median=center,
                         history_n=len(pooled),
                         gates=False,
-                        source="history" if pooled else "none",
                     )
                 )
     return verdicts
@@ -423,17 +412,21 @@ def check_entry(
 def render_verdicts(verdicts: list[Verdict]) -> str:
     """The ``repro bench --check`` report: failures first, then the rest."""
     lines: list[str] = []
-    failures = [v for v in verdicts if v.failed]
+    regressed = [v for v in verdicts if v.failed and v.verdict == "regressed"]
+    missing = [v for v in verdicts if v.failed and v.verdict == "missing"]
     improved = [v for v in verdicts if v.gates and v.verdict == "improved"]
     informational = [v for v in verdicts if not v.gates and v.verdict != "pass"]
-    checked = [v for v in verdicts if v.gates]
-    passed = len(checked) - len(failures) - len(improved)
-    lines.append(
+    checked = [v for v in verdicts if v.gates and v.verdict != "missing"]
+    passed = len(checked) - len(regressed) - len(improved)
+    header = (
         f"perf check: {len(checked)} phase comparisons — "
-        f"{passed} pass, {len(improved)} improved, {len(failures)} regressed"
+        f"{passed} pass, {len(improved)} improved, {len(regressed)} regressed"
     )
-    for verdict in failures:
+    lines.append(header + (f", {len(missing)} missing" if missing else ""))
+    for verdict in regressed:
         lines.append(f"  REGRESSED {verdict.describe()}")
+    for verdict in missing:
+        lines.append(f"  MISSING   {verdict.describe()}")
     for verdict in improved:
         lines.append(f"  improved  {verdict.describe()}")
     if informational:
@@ -441,12 +434,6 @@ def render_verdicts(verdicts: list[Verdict]) -> str:
         for verdict in informational:
             lines.append(f"  {verdict.describe()}")
     no_history = [v for v in checked if v.verdict == "no-history"]
-    fallback = [v for v in checked if v.source == "baseline"]
-    if fallback:
-        lines.append(
-            f"({len(fallback)} phase(s) gated by the BENCH_BASELINE.json "
-            f"compat fallback — fewer than {MIN_HISTORY_SAMPLES} ledger samples)"
-        )
     if no_history:
         lines.append(
             f"({len(no_history)} phase(s) passed ungated — no comparable "

@@ -80,23 +80,24 @@ class TraceSummary:
         return self
 
 
-def read_events(lines: Iterable[str]) -> tuple[list[dict], int]:
-    """Parse JSONL lines; returns (events, number of malformed lines)."""
+def read_events(path: str) -> tuple[list[dict], int]:
+    """Parse a JSONL trace file; returns (events, number of malformed lines)."""
     events: list[dict] = []
     malformed = 0
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            malformed += 1
-            continue
-        if isinstance(record, dict):
-            events.append(record)
-        else:
-            malformed += 1
+    with open(path, "r", encoding="utf-8") as handle:
+        for line in handle:
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError:
+                malformed += 1
+                continue
+            if isinstance(record, dict):
+                events.append(record)
+            else:
+                malformed += 1
     return events, malformed
 
 
@@ -138,9 +139,7 @@ def summarize_events(events: list[dict], malformed: int = 0) -> TraceSummary:
 
 
 def summarize_file(path: str) -> TraceSummary:
-    with open(path, "r", encoding="utf-8") as handle:
-        events, malformed = read_events(handle)
-    return summarize_events(events, malformed)
+    return summarize_events(*read_events(path))
 
 
 def summarize_files(paths: Iterable[str]) -> TraceSummary:

@@ -37,20 +37,12 @@ everywhere.
 :class:`SessionPool` manages one session per (tenant, source) with LRU
 bounds and a per-tenant child tracer lane — the long-lived form of the
 API the compile service daemon (:mod:`repro.service`) is built on.
-
-The classic top-level functions — :func:`compile_source`,
-:func:`analyze`, :func:`optimize`, :func:`run_program` — remain as
-documented shims over a one-shot session, and emit a
-``DeprecationWarning``: new code should use :class:`Session` /
-:class:`SessionPool` (or the underlying ``repro.ir`` / ``repro.runtime``
-primitives when no caching is wanted).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
-import warnings
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -405,104 +397,3 @@ class SessionPool:
                 self.tracer.merge(lane)
         self._tenant_tracers.clear()
         self._sessions.clear()
-
-
-# ----------------------------------------------------------------------
-# Classic top-level API: documented, deprecated shims over a one-shot
-# Session.  Internal code uses Session/SessionPool (or the primitives in
-# repro.ir / repro.inlining.pipeline / repro.runtime directly).
-
-
-def compile_source(source: str, path: str = "<string>") -> IRProgram:
-    """Deprecated: compile mini-ICC++ source text to an :class:`IRProgram`.
-
-    Use ``Session(source).compile()`` (or :func:`repro.ir.compile_source`
-    when no session caching is wanted).
-    """
-    warnings.warn(
-        "repro.compile_source() is deprecated; use Session(source).compile() instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return Session(source, path=path).compile()
-
-
-def analyze(
-    program: IRProgram,
-    config: AnalysisConfig | None = None,
-    tracer=NULL_TRACER,
-) -> AnalysisResult:
-    """Deprecated: flow-analyze ``program``.
-
-    Use ``Session(program=...).analyze()`` (or
-    :func:`repro.analysis.analyze`).
-    """
-    warnings.warn(
-        "repro.analyze() is deprecated; use Session(program=program).analyze() instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return Session(program=program, config=config, tracer=tracer).analyze()
-
-
-def optimize(
-    program: IRProgram,
-    inline: bool = True,
-    devirtualize: bool = True,
-    manual_only: bool = False,
-    inline_methods_pass: bool = True,
-    escape_pass: bool = True,
-    cache_loads_pass: bool = True,
-    dce_pass: bool = True,
-    max_rounds: int = 1,
-    config: AnalysisConfig | None = None,
-    tracer=NULL_TRACER,
-    analysis_cache: AnalysisCache | None = None,
-) -> OptimizeReport:
-    """Deprecated: run the inlining pipeline on ``program``.
-
-    Use ``Session(program=...).optimize(CompileConfig(...))`` (or
-    :func:`repro.inlining.pipeline.optimize`).
-    """
-    warnings.warn(
-        "repro.optimize() is deprecated; use "
-        "Session(program=program).optimize(CompileConfig(...)) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    session = Session(program=program, config=config, tracer=tracer)
-    if analysis_cache is not None:
-        session.analysis_cache = analysis_cache
-    return session.optimize(
-        CompileConfig(
-            inline=inline,
-            devirtualize=devirtualize,
-            manual_only=manual_only,
-            inline_methods_pass=inline_methods_pass,
-            escape_pass=escape_pass,
-            cache_loads_pass=cache_loads_pass,
-            dce_pass=dce_pass,
-            max_rounds=max_rounds,
-        )
-    )
-
-
-def run_program(
-    program: IRProgram,
-    cache_config: CacheConfig | None = None,
-    tracer=NULL_TRACER,
-    **run_options,
-) -> RunResult:
-    """Deprecated: execute ``program`` on the instrumented VM.
-
-    Use ``Session(program=...).run()`` (or
-    :func:`repro.runtime.run_program`).
-    """
-    warnings.warn(
-        "repro.run_program() is deprecated; use Session(program=program).run() instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return Session(program=program, tracer=tracer).run(
-        cache_config=cache_config, **run_options
-    )

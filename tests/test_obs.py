@@ -138,10 +138,12 @@ class TestJsonlRoundTrip:
         assert summary.decisions == [{"candidate": "C.f", "accepted": True}]
         assert summary.malformed_lines == 0
 
-    def test_malformed_lines_tolerated(self):
-        events, malformed = read_events(
-            ['{"ev":"span_end","name":"x","dur":1.0,"id":1}', "not json", "", "[1,2]"]
+    def test_malformed_lines_tolerated(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        path.write_text(
+            '{"ev":"span_end","name":"x","dur":1.0,"id":1}\nnot json\n\n[1,2]\n'
         )
+        events, malformed = read_events(str(path))
         assert len(events) == 1
         assert malformed == 2
         summary = summarize_events(events, malformed)

@@ -16,7 +16,7 @@ import threading
 import pytest
 
 from repro.cli import main
-from repro.obs import tracer_to_file
+from repro.obs import read_events, tracer_to_file
 from repro.obs.export import SpanNode, _load_many, build_span_forest
 from repro.service import ServiceClient, ServiceError, ServiceThread
 
@@ -213,7 +213,7 @@ class TestStitching:
             run_dir = handle.service.run_dir
             with ServiceClient(sock) as client:
                 assert client.optimize(SOURCE).ok
-        events, _ = _events_of(os.path.join(run_dir, "service.jsonl"))
+        events, _ = read_events(os.path.join(run_dir, "service.jsonl"))
         stops = [
             e for e in events if e.get("ev") == "event" and e.get("name") == "service.shutdown"
         ]
@@ -227,8 +227,3 @@ class TestStitching:
         assert digest["requests"] >= 1
         assert digest["cache_hit_rate"] >= 0.0
 
-
-def _events_of(path):
-    from repro.obs.export import load_trace_events
-
-    return load_trace_events(path)

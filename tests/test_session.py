@@ -1,4 +1,4 @@
-"""The :class:`repro.Session` facade and the bench baseline gate."""
+"""The :class:`repro.Session` facade and the rules of the bench perf gate."""
 
 import json
 from types import SimpleNamespace
@@ -10,12 +10,13 @@ from repro import CompileConfig, Session, SessionPool
 from repro.analysis import AnalysisConfig
 from repro.ir import compile_source
 from repro.runtime import run_program
-from repro.bench.baseline import (
-    MIN_SECONDS,
+from repro.obs.history import (
     NOISE_FLOOR_SECONDS,
-    check_baseline,
-    load_baseline,
-    write_baseline,
+    append_entry,
+    check_entry,
+    load_history,
+    make_entry,
+    render_verdicts,
 )
 from repro.cli import main
 
@@ -191,177 +192,149 @@ class TestSessionPool:
 class TestClassicWrappers:
     def test_top_level_exports(self):
         for name in ("Session", "SessionPool", "CompileConfig", "AnalysisCache",
-                     "source_key", "compile_source", "analyze", "optimize",
-                     "run_program"):
+                     "source_key"):
             assert name in repro.__all__
             assert hasattr(repro, name)
-
-    def test_wrappers_warn_deprecation(self):
-        with pytest.warns(DeprecationWarning, match="compile_source"):
-            program = repro.compile_source(SOURCE, "wrap.icc")
-        with pytest.warns(DeprecationWarning, match="analyze"):
-            result = repro.analyze(program)
-        with pytest.warns(DeprecationWarning, match="optimize"):
-            report = repro.optimize(program, inline=True)
-        assert result.facts and report.plan.candidates
-        with pytest.warns(DeprecationWarning, match="run_program"):
-            assert repro.run_program(report.program).output == ["5"]
-
-    def test_wrappers_still_match_session_results(self):
-        with pytest.warns(DeprecationWarning):
-            classic = repro.run_program(
-                repro.optimize(repro.compile_source(SOURCE), inline=True).program
-            )
-        assert classic.output == Session(SOURCE).run("inline").output
-
-    def test_warnings_point_at_the_caller(self):
-        # stacklevel=2 in each shim: the warning must carry *this* file,
-        # not session.py, so a `-W error::DeprecationWarning` traceback
-        # lands on the deprecated call site.
-        import warnings
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            program = repro.compile_source(SOURCE, "wrap.icc")
-            repro.analyze(program)
-            report = repro.optimize(program, inline=True)
-            repro.run_program(report.program)
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 4
-        for warning in deprecations:
-            assert warning.filename == __file__, (
-                f"{warning.message} attributed to {warning.filename}"
-            )
+        # The deprecated one-shot shims are gone; Session is the front door.
+        for name in ("compile_source", "analyze", "optimize", "run_program"):
+            assert name not in repro.__all__
+            assert not hasattr(repro, name)
 
 
-def _stub_runs(analyze_s=0.100, transform_s=0.050, builds=("inline",)):
-    return {
-        "bench": SimpleNamespace(
-            builds={
-                build: SimpleNamespace(
-                    phase_seconds={"analyze": analyze_s, "transform": transform_s}
-                )
-                for build in builds
-            }
-        )
-    }
+def _entry(analyze_s=0.100, transform_s=0.050, builds=("inline",), repeat=1):
+    """A ledger entry of one stub benchmark, ``repeat`` samples per phase.
+
+    Every stub entry shares one config key and ``--jobs`` mode, so stub
+    entries always pool with each other.
+    """
+    phases = {"analyze": [analyze_s] * repeat, "transform": [transform_s] * repeat}
+    return make_entry(
+        {"bench": {build: {"phases": dict(phases)} for build in builds}},
+        {"suite": "stub"},
+        {"jobs": 1},
+        repeat=repeat,
+    )
+
+
+def _check(measured, **history_kwargs):
+    """Verdicts of ``measured`` against a three-sample stub history."""
+    return check_entry(measured, [_entry(repeat=3, **history_kwargs)])
+
+
+def _failures(verdicts):
+    return [v.describe() for v in verdicts if v.failed]
+
+
+def _verdict(verdicts, metric):
+    (found,) = [v for v in verdicts if v.metric == metric]
+    return found.verdict
 
 
 class TestBaselineGate:
+    """The gate's rules against the newest comparable ledger entry: the
+    median + margin test, the absolute noise floor, and drift."""
+
     def test_roundtrip_and_pass(self, tmp_path):
-        path = str(tmp_path / "base.json")
-        write_baseline(path, _stub_runs())
-        baseline = load_baseline(path)
-        assert check_baseline(_stub_runs(), baseline) == []
+        path = str(tmp_path / "hist.jsonl")
+        for _ in range(3):
+            append_entry(path, _entry())
+        verdicts = check_entry(_entry(), load_history(path))
+        assert _failures(verdicts) == []
+        assert {v.verdict for v in verdicts} == {"pass"}
 
-    def test_regression_beyond_tolerance_fails(self, tmp_path):
-        path = str(tmp_path / "base.json")
-        write_baseline(path, _stub_runs(analyze_s=0.100))
-        regressions = check_baseline(
-            _stub_runs(analyze_s=0.140), load_baseline(path)
-        )
-        assert len(regressions) == 1
-        assert "bench/inline/analyze" in regressions[0]
-
-    def test_growth_within_tolerance_passes(self, tmp_path):
-        path = str(tmp_path / "base.json")
-        write_baseline(path, _stub_runs(analyze_s=0.100))
-        assert not check_baseline(
-            _stub_runs(analyze_s=0.125), load_baseline(path)
-        )
-
-    def test_small_baseline_has_jitter_headroom(self, tmp_path):
-        # A phase baselined below MIN_SECONDS may jitter up to the
-        # MIN_SECONDS-clamped gate without failing ...
-        fast = MIN_SECONDS / 2
-        path = str(tmp_path / "base.json")
-        write_baseline(path, _stub_runs(transform_s=fast))
-        regressions = check_baseline(
-            _stub_runs(transform_s=fast * 2), load_baseline(path)
-        )
-        assert not any("transform" in line for line in regressions)
-
-    def test_small_baseline_still_gates_blowup(self, tmp_path):
-        # ... but a blowup to hundreds of ms is a regression, not noise
-        # (before the fix, any sub-MIN_SECONDS baseline was exempt forever).
-        fast = MIN_SECONDS / 2
-        path = str(tmp_path / "base.json")
-        write_baseline(path, _stub_runs(transform_s=fast))
-        regressions = check_baseline(
-            _stub_runs(transform_s=fast * 100), load_baseline(path)
-        )
-        assert any("bench/inline/transform" in line for line in regressions)
-
-    def test_growth_below_noise_floor_passes(self, tmp_path):
-        # Beyond the relative gate but under the absolute noise floor.
-        path = str(tmp_path / "base.json")
-        write_baseline(path, _stub_runs(transform_s=0.002))
-        assert not check_baseline(
-            _stub_runs(transform_s=NOISE_FLOOR_SECONDS * 0.6),
-            load_baseline(path),
-        )
-
-    def test_missing_benchmark_is_drift_failure(self, tmp_path):
-        # Before the fix a vanished benchmark silently passed forever.
-        path = str(tmp_path / "base.json")
-        write_baseline(path, _stub_runs())
-        failures = check_baseline({}, load_baseline(path))
+    def test_regression_beyond_tolerance_fails(self):
+        failures = _failures(_check(_entry(analyze_s=0.140), analyze_s=0.100))
         assert len(failures) == 1
-        assert "bench" in failures[0]
-        assert "--update-baseline" in failures[0]
+        assert "bench/inline/analyze" in failures[0]
 
-    def test_missing_build_is_drift_failure(self, tmp_path):
-        path = str(tmp_path / "base.json")
-        write_baseline(path, _stub_runs(builds=("inline", "manual")))
-        failures = check_baseline(_stub_runs(builds=("inline",)), load_baseline(path))
-        assert len(failures) == 1
-        assert "bench/manual" in failures[0]
-        assert "--update-baseline" in failures[0]
+    def test_growth_within_tolerance_passes(self):
+        verdicts = _check(_entry(analyze_s=0.120), analyze_s=0.100)
+        assert _failures(verdicts) == []
 
-    def test_missing_phase_is_drift_failure(self, tmp_path):
-        # e.g. a span rename: the old name would default to actual=0.0
-        # and pass forever before the fix.
-        path = str(tmp_path / "base.json")
-        write_baseline(path, _stub_runs())
-        measured = _stub_runs()
-        del measured["bench"].builds["inline"].phase_seconds["transform"]
-        failures = check_baseline(measured, load_baseline(path))
+    def test_small_baseline_has_jitter_headroom(self):
+        # A millisecond phase may jitter within the absolute slack ...
+        verdicts = _check(_entry(transform_s=0.004), transform_s=0.002)
+        assert _verdict(verdicts, "transform") == "pass"
+
+    def test_small_baseline_still_gates_blowup(self):
+        # ... but a blowup to hundreds of ms is a regression, not noise.
+        failures = _failures(_check(_entry(transform_s=0.500), transform_s=0.005))
         assert len(failures) == 1
         assert "bench/inline/transform" in failures[0]
-        assert "--update-baseline" in failures[0]
 
-    def test_new_unbaselined_phase_ignored(self, tmp_path):
-        path = str(tmp_path / "base.json")
-        write_baseline(path, _stub_runs())
-        measured = _stub_runs()
-        measured["bench"].builds["inline"].phase_seconds["brand.new"] = 9.9
-        assert check_baseline(measured, load_baseline(path)) == []
+    def test_growth_below_noise_floor_passes(self):
+        # Far beyond the margin but under the absolute noise floor.
+        measured = _entry(transform_s=NOISE_FLOOR_SECONDS * 0.6)
+        verdicts = _check(measured, transform_s=0.002)
+        assert _failures(verdicts) == []
+        assert _verdict(verdicts, "transform") == "pass"
+
+    def test_missing_benchmark_is_drift_failure(self):
+        # A vanished benchmark must not pass silently forever.
+        measured = _entry()
+        measured["benchmarks"] = {}
+        failures = _failures(_check(measured))
+        assert len(failures) == 1
+        assert failures[0].startswith("bench: benchmark missing")
+        assert "repro perf record" in failures[0]
+
+    def test_missing_build_is_drift_failure(self):
+        verdicts = _check(_entry(), builds=("inline", "manual"))
+        failures = _failures(verdicts)
+        assert len(failures) == 1
+        assert failures[0].startswith("bench/manual: build missing")
+        assert "repro perf record" in failures[0]
+        text = render_verdicts(verdicts)
+        assert "1 missing" in text and "MISSING" in text
+
+    def test_missing_phase_is_drift_failure(self):
+        # e.g. a span rename: the old name would simply stop being compared.
+        measured = _entry()
+        del measured["benchmarks"]["bench"]["inline"]["phases"]["transform"]
+        failures = _failures(_check(measured))
+        assert len(failures) == 1
+        assert failures[0].startswith("bench/inline/transform: phase missing")
+        assert "repro perf record" in failures[0]
+
+    def test_new_unbaselined_phase_ignored(self):
+        measured = _entry()
+        measured["benchmarks"]["bench"]["inline"]["phases"]["brand.new"] = [9.9]
+        verdicts = _check(measured)
+        assert _failures(verdicts) == []
+        assert _verdict(verdicts, "brand.new") == "no-history"
 
 
 class TestCLIBaselineFlags:
+    """``repro perf record`` arms the gate; ``repro bench --check`` runs it."""
+
     @pytest.fixture()
     def patched_suite(self, monkeypatch):
-        state = {"runs": _stub_runs()}
-        monkeypatch.setattr(
-            "repro.cli.run_performance_suite",
-            lambda tracer=None, jobs=1, locality=False: state["runs"],
-        )
+        state = {"analyze_s": 0.100}
+
+        def stub_samples(repeat=1, **_kwargs):
+            benchmarks = _entry(analyze_s=state["analyze_s"], repeat=repeat)["benchmarks"]
+            return SimpleNamespace(
+                ledger_benchmarks=lambda: benchmarks,
+                ledger_config=lambda: {"suite": "stub"},
+            )
+
+        monkeypatch.setattr("repro.cli.run_suite_samples", stub_samples)
         return state
 
     def test_update_then_check(self, patched_suite, tmp_path, capsys):
-        path = str(tmp_path / "base.json")
-        assert main(["bench", "--update-baseline", "--baseline", path]) == 0
-        assert main(["bench", "--check-baseline", "--baseline", path]) == 0
-        assert "within tolerance" in capsys.readouterr().out
+        path = str(tmp_path / "hist.jsonl")
+        assert main(["perf", "record", "--repeat", "3", "--history", path]) == 0
+        capsys.readouterr()
+        assert main(["bench", "--check", "--no-record", "--history", path]) == 0
+        out = capsys.readouterr().out
+        assert "0 regressed" in out and "passed ungated" not in out
 
     def test_check_fails_on_regression(self, patched_suite, tmp_path, capsys):
-        path = str(tmp_path / "base.json")
-        assert main(["bench", "--update-baseline", "--baseline", path]) == 0
-        patched_suite["runs"] = _stub_runs(analyze_s=0.200)
-        assert main(["bench", "--check-baseline", "--baseline", path]) == 1
-        assert "regression" in capsys.readouterr().out
+        path = str(tmp_path / "hist.jsonl")
+        assert main(["perf", "record", "--repeat", "3", "--history", path]) == 0
+        patched_suite["analyze_s"] = 0.200
+        assert main(["bench", "--check", "--no-record", "--history", path]) == 1
+        assert "REGRESSED bench/inline/analyze" in capsys.readouterr().out
 
 
 class TestCLIWideningReport:
