@@ -21,8 +21,9 @@ verdict:
   comparable entry holds but the measured run lacks (a benchmark, build
   or phase) fails as drift; ``repro perf record`` re-arms the gate after
   an intended rename.  Phases with fewer than ``MIN_HISTORY_SAMPLES``
-  pooled samples pass ungated.  Cycle verdicts are deterministic (the VM
-  is simulated) and reported as informational deltas.
+  pooled samples pass ungated.  Simulated cycles are deterministic, so
+  they gate by exact equality against the newest comparable entry; an
+  intended change re-records them with ``repro perf record --note``.
 - **Reports** — ``repro perf list`` / ``diff REV1 REV2`` /
   ``trend METRIC``: the ledger rendered as tables, a jitdiff-style
   base-vs-diff comparison between two recorded revisions, and ASCII
@@ -226,20 +227,19 @@ class Verdict:
     benchmark: str
     build: str
     metric: str  # phase name, "cycles", or "" for a missing build/benchmark
-    verdict: str  # "pass" | "regressed" | "improved" | "no-history" | "missing"
+    #: "pass" | "regressed" | "improved" | "no-history" | "missing", and
+    #: "changed" for cycles that differ from the newest comparable entry.
+    verdict: str
     measured: float = 0.0
     measured_n: int = 0
     history_median: float | None = None
     history_mad: float | None = None
     history_n: int = 0
     margin: float | None = None
-    #: Whether this verdict participates in the gate's exit status.
-    #: Wall-time phases gate; deterministic cycle deltas inform.
-    gates: bool = True
 
     @property
     def failed(self) -> bool:
-        return self.gates and self.verdict in ("regressed", "missing")
+        return self.verdict in ("regressed", "missing", "changed")
 
     def describe(self) -> str:
         """One line quoting the measured value against the distribution."""
@@ -251,11 +251,16 @@ class Verdict:
                 "removed? (run `repro perf record` to re-arm the gate if intended)"
             )
         if self.metric == "cycles":
-            base = self.history_median
-            delta = ""
-            if base:
-                delta = f" ({(self.measured - base) / base:+.2%} vs median {base:.0f})"
-            return f"{where}: {self.verdict} — {self.measured:.0f} cycles{delta}"
+            text = f"{where}: {self.verdict} — {self.measured:.0f} cycles"
+            if self.history_median is None:
+                return f"{text}, no comparable history"
+            if self.verdict != "changed":
+                return text
+            return (
+                f"{text}, newest comparable entry {self.history_median:.0f} "
+                f"({self.measured - self.history_median:+.0f}); simulated cycles are "
+                "deterministic: if intended, re-record them with `repro perf record --note`"
+            )
         measured = f"{self.measured * 1e3:.2f}ms (median of {self.measured_n})"
         if self.history_n == 0 or self.history_median is None:
             return f"{where}: {self.verdict} — {measured}, no comparable history"
@@ -278,14 +283,13 @@ def _pooled_phase_samples(
     return samples
 
 
-def _history_cycles(history: list[dict], benchmark: str, build: str) -> list[float]:
-    values: list[float] = []
-    for entry in history:
-        build_data = entry.get("benchmarks", {}).get(benchmark, {}).get(build, {})
-        for value in build_data.get("cycles", []):
-            if isinstance(value, (int, float)) and not isinstance(value, bool):
-                values.append(float(value))
-    return values
+def _entry_cycles(entry: dict, benchmark: str, build: str) -> list[float]:
+    build_data = entry.get("benchmarks", {}).get(benchmark, {}).get(build, {})
+    return [
+        float(value)
+        for value in build_data.get("cycles", [])
+        if isinstance(value, (int, float)) and not isinstance(value, bool)
+    ]
 
 
 def _missing_verdicts(entry: dict, newest: dict) -> list[Verdict]:
@@ -325,11 +329,10 @@ def check_entry(
     :func:`regression_margin` and ``NOISE_FLOOR_SECONDS``; phases with
     fewer than ``min_samples`` pooled samples pass as ``no-history``.
     Whatever the newest comparable entry holds but ``entry`` lacks fails
-    as ``missing``; phases new in ``entry`` pass ungated.  Cycle
-    verdicts are computed against the history median but never gate —
-    the simulated VM is deterministic, so any cycle change is an
-    intentional code change, not noise; the deltas are surfaced for the
-    reviewer.
+    as ``missing``; phases new in ``entry`` pass ungated.  Cycles gate by
+    exact equality with the newest comparable entry (jitdiff-style): the
+    simulated VM is deterministic, so any difference is a code change,
+    ``changed`` until ``repro perf record --note`` records it as intended.
     """
     recent = comparable_entries(
         history, entry.get("config_key", ""), entry.get("env", {}).get("jobs")
@@ -379,31 +382,24 @@ def check_entry(
                         margin=margin,
                     )
                 )
-            # Cycles: deterministic, informational.
+            # Cycles: deterministic, so exact against the newest entry.
             cycles = [float(c) for c in data.get("cycles", [])]
             if cycles:
-                measured = median(cycles)
-                pooled = _history_cycles(recent, benchmark, build)
-                if pooled:
-                    center = median(pooled)
-                    verdict = (
-                        "pass"
-                        if measured == center
-                        else ("regressed" if measured > center else "improved")
-                    )
+                newest = _entry_cycles(recent[-1], benchmark, build) if recent else []
+                if not newest:
+                    verdict = "no-history"
                 else:
-                    center, verdict = None, "no-history"
+                    verdict = "pass" if set(cycles) == set(newest) else "changed"
                 verdicts.append(
                     Verdict(
                         benchmark=benchmark,
                         build=build,
                         metric="cycles",
                         verdict=verdict,
-                        measured=measured,
+                        measured=median(cycles),
                         measured_n=len(cycles),
-                        history_median=center,
-                        history_n=len(pooled),
-                        gates=False,
+                        history_median=median(newest) if newest else None,
+                        history_n=len(newest),
                     )
                 )
     return verdicts
@@ -412,31 +408,32 @@ def check_entry(
 def render_verdicts(verdicts: list[Verdict]) -> str:
     """The ``repro bench --check`` report: failures first, then the rest."""
     lines: list[str] = []
-    regressed = [v for v in verdicts if v.failed and v.verdict == "regressed"]
-    missing = [v for v in verdicts if v.failed and v.verdict == "missing"]
-    improved = [v for v in verdicts if v.gates and v.verdict == "improved"]
-    informational = [v for v in verdicts if not v.gates and v.verdict != "pass"]
-    checked = [v for v in verdicts if v.gates and v.verdict != "missing"]
-    passed = len(checked) - len(regressed) - len(improved)
+    regressed = [v for v in verdicts if v.verdict == "regressed"]
+    missing = [v for v in verdicts if v.verdict == "missing"]
+    changed = [v for v in verdicts if v.verdict == "changed"]
+    improved = [v for v in verdicts if v.verdict == "improved"]
+    checked = [v for v in verdicts if v.verdict != "missing"]
+    phases = [v for v in checked if v.metric != "cycles"]
+    cycles = [v for v in checked if v.metric == "cycles"]
+    passed = len(phases) - len(regressed) - len(improved)
     header = (
-        f"perf check: {len(checked)} phase comparisons — "
-        f"{passed} pass, {len(improved)} improved, {len(regressed)} regressed"
+        f"perf check: {len(phases)} phase comparisons — "
+        f"{passed} pass, {len(improved)} improved, {len(regressed)} regressed; "
+        f"{len(cycles)} cycle counts, {len(changed)} changed"
     )
     lines.append(header + (f", {len(missing)} missing" if missing else ""))
     for verdict in regressed:
         lines.append(f"  REGRESSED {verdict.describe()}")
+    for verdict in changed:
+        lines.append(f"  CHANGED   {verdict.describe()}")
     for verdict in missing:
         lines.append(f"  MISSING   {verdict.describe()}")
     for verdict in improved:
         lines.append(f"  improved  {verdict.describe()}")
-    if informational:
-        lines.append("cycle deltas (deterministic; informational):")
-        for verdict in informational:
-            lines.append(f"  {verdict.describe()}")
     no_history = [v for v in checked if v.verdict == "no-history"]
     if no_history:
         lines.append(
-            f"({len(no_history)} phase(s) passed ungated — no comparable "
+            f"({len(no_history)} comparison(s) passed ungated — no comparable "
             "history yet; they gate once the ledger grows)"
         )
     return "\n".join(lines)

@@ -292,9 +292,12 @@ class CacheSimulator:
         across phases (warmup -> measurement) calls ``flush()`` alone.
         The benchmark harness needs neither — every build runs on a fresh
         interpreter and therefore a fresh, cold cache.  To zero the
-        counters use :meth:`reset_stats`.
+        counters use :meth:`reset_stats`.  The sets are emptied in place,
+        so code holding the set list (the VM's compiled tier) sees the
+        flush too.
         """
-        self._sets = [[] for _ in range(self.num_sets)]
+        for ways in self._sets:
+            ways.clear()
 
     def reset_stats(self) -> None:
         """Zero the counters (aggregate and attribution) in place.

@@ -1,4 +1,4 @@
-"""The VM: a pre-decoded interpreter for the CFG IR.
+"""The VM: a pre-decoded interpreter for the CFG IR, with a compiled tier.
 
 The interpreter doubles as the paper's performance substrate.  Every heap
 access goes through the simulated :class:`~repro.runtime.heap.Heap` and the
@@ -76,8 +76,15 @@ class RunResult:
         return self.stats.cycles(model)
 
 
-#: Terminator kinds of a decoded block.
-_JUMP, _BRANCH, _RETURN, _FELL_OFF = range(4)
+#: Terminator kinds of a decoded block; ``_LOOP`` is a jump to the same or
+#: an earlier block, a loop's back-edge.
+_JUMP, _BRANCH, _RETURN, _FELL_OFF, _LOOP = range(5)
+
+#: Heat — calls plus taken back-edge jumps — at which a callable is
+#: compiled to one Python function (tier 1).  Below it the callable runs
+#: on the decoded closures (tier 0): generating and compiling source costs
+#: tens of microseconds per instruction, which only hot code pays back.
+TIER_UP_HEAT = 300
 
 #: Instructions that may run other code (a constructor or a callee); a
 #: call-free segment ends at each.
@@ -118,15 +125,16 @@ class _Code:
     """An :class:`~repro.ir.model.IRCallable` decoded for execution.
 
     ``blocks[i]`` is ``(segments, kind, a, b, c)``: the block's call-free
-    segments, then its terminator — ``_JUMP`` to block ``a``, ``_BRANCH``
-    on register ``a`` to ``b``/``c``, ``_RETURN`` of register ``a`` (or
-    nil), or ``_FELL_OFF`` block ``a`` without a terminator.  A segment
-    is ``(count, ops, steps)``: ``ops`` are closures over the register
-    list, at most the last of which calls out, and its ``count``
-    instructions are charged together.  ``steps`` lists
-    ``(location, op or None)`` per instruction, for stepping the same
-    closures at the step limit; an instruction without an op of its own
-    (a terminator, or a move its producer performs) is only counted.
+    segments, then its terminator — ``_JUMP`` (or the back-edge ``_LOOP``)
+    to block ``a``, ``_BRANCH`` on register ``a`` to ``b``/``c``,
+    ``_RETURN`` of register ``a`` (or nil), or ``_FELL_OFF`` block ``a``
+    without a terminator.  A segment is ``(count, ops, steps)``: ``ops``
+    are closures over the register list, at most the last of which calls
+    out, and its ``count`` instructions are charged together.  ``steps``
+    lists ``(location, op or None, instruction)`` per instruction, for
+    stepping the same closures at the step limit and for generating the
+    tier-1 function; an instruction without an op of its own (a
+    terminator, or a move its producer performs) is only counted.
     """
 
     callable_: ir.IRCallable
@@ -134,6 +142,10 @@ class _Code:
     #: Nil registers appended to the arguments to make the frame.
     padding: list[Value]
     blocks: list[tuple]
+    #: Calls plus taken back-edges so far; tier 1 at ``TIER_UP_HEAT``.
+    heat: int = 0
+    #: The tier-1 function ``frame(regs, block=0)``, once compiled.
+    frame: object = None
 
 
 class Interpreter:
@@ -142,7 +154,10 @@ class Interpreter:
     Each callable is decoded once per interpreter, on its first call,
     into per-block tuples of closures (see :class:`_Code`); register
     indices, constants, field names, locations and the heap/cache methods
-    are bound into the closures at decode time.
+    are bound into the closures at decode time.  A callable whose heat
+    reaches ``TIER_UP_HEAT`` is compiled to one Python function (see
+    :mod:`.tier1`), entered on its next call or, mid-loop, at the
+    back-edge that crossed the threshold.
     """
 
     def __init__(
@@ -177,11 +192,17 @@ class Interpreter:
         # One program scan up front: frame push/pop bracketing in _call is
         # only armed when the escape stage actually produced frame-local
         # allocations, so untransformed programs pay nothing.
-        self._frame_regions = any(
-            type(instr) is ir.New and instr.frame_local
-            for callable_ in program.callables()
-            for instr in callable_.instructions()
-        )
+        self._frame_regions = False
+        #: Whether the program makes views; tier 1 writes the view path of
+        #: a field read only then (the closure handles any view anyway).
+        self._views = False
+        for callable_ in program.callables():
+            for instr in callable_.instructions():
+                kind = type(instr)
+                if kind is ir.New and instr.frame_local:
+                    self._frame_regions = True
+                elif kind is ir.MakeView:
+                    self._views = True
         # Per-run memos; the program does not change during a run.
         #: id(callable) -> decoded code (the code pins the callable).
         self._codes: dict[int, _Code] = {}
@@ -255,20 +276,21 @@ class Interpreter:
             raise ReproRuntimeError(
                 f"{callable_.name} expects {code.num_formals} values, got {len(args)}"
             )
+        frame = code.frame
+        if frame is None:
+            code.heat += 1
+            if code.heat >= TIER_UP_HEAT:
+                frame = self._tier_up(code)
         self._depth += 1
         if self._depth > self.stats.max_call_depth:
             self.stats.max_call_depth = self._depth
         regs = args + code.padding
-        if not self._frame_regions:
-            try:
-                return self._run_frame(code, regs)
-            finally:
-                self._depth -= 1
-        marker = self.heap.push_frame()
+        marker = self.heap.push_frame() if self._frame_regions else None
         try:
-            return self._run_frame(code, regs)
+            return self._run_frame(code, regs) if frame is None else frame(regs)
         finally:
-            self.heap.pop_frame(marker)
+            if marker is not None:
+                self.heap.pop_frame(marker)
             self._depth -= 1
 
     def _run_frame(self, code: _Code, regs: list[Value]) -> Value:
@@ -292,6 +314,14 @@ class Interpreter:
                     segments, kind, a, b, c = blocks[c]
             elif kind is _JUMP:
                 segments, kind, a, b, c = blocks[a]
+            elif kind is _LOOP:
+                code.heat += 1
+                if code.heat >= TIER_UP_HEAT:
+                    # On-stack replacement: tier 1 shares the register
+                    # list and the block numbers, so it picks the loop up
+                    # at the back-edge's target.
+                    return (code.frame or self._tier_up(code))(regs, a)
+                segments, kind, a, b, c = blocks[a]
             elif kind is _RETURN:
                 return None if a is None else regs[a]
             else:
@@ -308,13 +338,26 @@ class Interpreter:
         producer performs may land a register write early; the run stops
         right there, so nothing observes it.)"""
         stats = self.stats
-        for loc, op in steps:
+        for loc, op, _ in steps:
             stats.instructions += 1
             if stats.instructions > self._max_steps:
                 raise StepLimitExceeded(f"exceeded {self._max_steps} instructions", loc)
             if op is not None:
                 op(regs)
         raise AssertionError("segment ended below the step limit")
+
+    def _tier_up(self, code: _Code):
+        """Compile ``code`` to its tier-1 function (see :mod:`.tier1`)."""
+        # Imported on first use: tier1 imports this module, and a run
+        # without a hot callable never loads it.
+        from .tier1 import FrameEmitter
+
+        source, namespace = FrameEmitter(self, code).emit()
+        exec(compile(source, f"<vm {code.callable_.name}>", "exec"), namespace)
+        # Popped, so the namespace (the function's globals) does not hold
+        # the function: no reference cycle outlives the run's _codes.
+        code.frame = namespace.pop("frame")
+        return code.frame
 
     # ------------------------------------------------------------------
     # Decoding.
@@ -346,16 +389,17 @@ class Interpreter:
         for position, instr in enumerate(instrs):
             kind = type(instr)
             if kind is ir.Jump or kind is ir.Branch or kind is ir.Return:
-                steps.append((instr.loc, None))
+                steps.append((instr.loc, None, instr))
                 if kind is ir.Jump:
-                    terminator = (_JUMP, instr.target, None, None)
+                    jump = _LOOP if instr.target <= index else _JUMP
+                    terminator = (jump, instr.target, None, None)
                 elif kind is ir.Branch:
                     terminator = (_BRANCH, instr.cond, instr.then_target, instr.else_target)
                 else:
                     terminator = (_RETURN, instr.src, None, None)
                 break
             if position == elided:
-                steps.append((instr.loc, None))
+                steps.append((instr.loc, None, instr))
                 continue
             decoder = self._DECODERS.get(kind)
             if decoder is None:
@@ -375,7 +419,7 @@ class Interpreter:
                     elided = position + 1
                 op = decoder(self, instr)
             ops.append(op)
-            steps.append((instr.loc, op))
+            steps.append((instr.loc, op, instr))
             if kind in _CALLS:
                 segments.append((len(steps), tuple(ops), tuple(steps)))
                 ops, steps = [], []

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.analysis import AnalysisConfig, analyze
 from repro.inlining.decisions import DecisionEngine
 from repro.inlining.pipeline import optimize
 from repro.ir import compile_source, validate_program
-from repro.runtime import run_program
+from repro.runtime import interp, run_program
 
 #: The paper's running example (Figures 1-5), used across many tests.
 RECTANGLE_SOURCE = """
@@ -46,6 +48,19 @@ def main() {
   do_rectangle(p3, p4);
 }
 """
+
+
+#: ``TIER_UP_HEAT`` values the tier tests force: tier 1 never, tier 1 on
+#: every callable's first call, and tier 1 entered mid-loop (a callable
+#: called once tiers up at its third taken back-edge, by on-stack
+#: replacement).
+FORCED_TIERS = {"tier1-never": math.inf, "tier1-immediately": 0, "tier1-osr": 3}
+
+
+@pytest.fixture
+def tier1_immediately(monkeypatch):
+    """Compile every callable to its tier-1 function on its first call."""
+    monkeypatch.setattr(interp, "TIER_UP_HEAT", FORCED_TIERS["tier1-immediately"])
 
 
 def run_source(source: str, **kwargs):

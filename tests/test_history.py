@@ -135,8 +135,9 @@ class TestStatisticalCheck:
         verdicts = check_entry(fresh, tiny_history)
         assert verdicts, "expected phase verdicts"
         assert not any(v.failed for v in verdicts)
-        gated = [v for v in verdicts if v.gates and v.verdict != "no-history"]
+        gated = [v for v in verdicts if v.metric != "cycles" and v.verdict != "no-history"]
         assert gated, "expected statistically gated phases"
+        assert all(v.verdict == "pass" for v in verdicts if v.metric == "cycles")
 
     def test_slowed_phase_is_flagged_regressed(self, tiny_history):
         # A measured entry is its own history, so every phase sits exactly
@@ -165,7 +166,7 @@ class TestStatisticalCheck:
         text = render_verdicts(verdicts)
         assert "REGRESSED" in text and "MAD" in text and "margin" in text
 
-    def test_cycle_changes_inform_but_never_gate(self, tiny_history):
+    def test_cycle_changes_fail_the_gate(self, tiny_history):
         fresh = entry_of(measure(repeat=1))
         for builds in fresh["benchmarks"].values():
             for data in builds.values():
@@ -173,16 +174,14 @@ class TestStatisticalCheck:
         verdicts = check_entry(fresh, tiny_history)
         cycle_verdicts = [v for v in verdicts if v.metric == "cycles"]
         assert cycle_verdicts
-        assert all(v.verdict == "regressed" for v in cycle_verdicts)
-        assert not any(v.failed for v in verdicts)
-        assert "informational" in render_verdicts(verdicts)
+        assert all(v.verdict == "changed" and v.failed for v in cycle_verdicts)
+        assert "CHANGED" in render_verdicts(verdicts)
 
     def test_unknown_config_has_no_history(self, tiny_history):
         fresh = entry_of(measure(repeat=1, suite="different-suite"))
         verdicts = check_entry(fresh, tiny_history)
-        gated = [v for v in verdicts if v.gates]
-        assert gated
-        assert all(v.verdict == "no-history" for v in gated)
+        assert verdicts
+        assert all(v.verdict == "no-history" for v in verdicts)
         assert not any(v.failed for v in verdicts)
 
     def test_jobs_mode_pools_separately(self, tiny_history):
@@ -190,15 +189,50 @@ class TestStatisticalCheck:
         # pool across modes, so the parallel entry sees no history.
         fresh = entry_of(measure(repeat=1), jobs=2)
         verdicts = check_entry(fresh, tiny_history)
-        gated = [v for v in verdicts if v.gates]
-        assert all(v.verdict == "no-history" for v in gated)
+        assert all(v.verdict == "no-history" for v in verdicts)
 
     def test_min_samples_threshold_respected(self, tiny_history):
         fresh = entry_of(measure(repeat=1))
         verdicts = check_entry(
             fresh, tiny_history, min_samples=MIN_HISTORY_SAMPLES + 100
         )
-        assert all(v.verdict == "no-history" for v in verdicts if v.gates)
+        assert all(v.verdict == "no-history" for v in verdicts if v.metric != "cycles")
+
+
+def _stub_entry(cycles: list[int]) -> dict:
+    """A ledger entry holding only simulated cycles for one build."""
+    return make_entry(
+        {"stub": {"inline": {"cycles": cycles, "phases": {}}}}, {"suite": "stub"}, {"jobs": 1}
+    )
+
+
+class TestExactCycles:
+    """Simulated cycles are deterministic: they gate by exact equality
+    against the newest comparable ledger entry."""
+
+    def test_equal_cycles_pass(self):
+        (verdict,) = check_entry(_stub_entry([1000, 1000]), [_stub_entry([1000])])
+        assert verdict.verdict == "pass" and not verdict.failed
+
+    def test_one_cycle_change_fails(self):
+        verdicts = check_entry(_stub_entry([1001]), [_stub_entry([1000])])
+        (verdict,) = verdicts
+        assert verdict.verdict == "changed" and verdict.failed
+        text = render_verdicts(verdicts)
+        assert "CHANGED" in text and "repro perf record --note" in text
+        assert "+1" in text
+
+    def test_compares_against_the_newest_entry_not_the_median(self):
+        history = [_stub_entry([1000]), _stub_entry([1000]), _stub_entry([990])]
+        (verdict,) = check_entry(_stub_entry([990]), history)
+        assert verdict.verdict == "pass"
+        (verdict,) = check_entry(_stub_entry([1000]), history)
+        assert verdict.failed
+
+    def test_no_comparable_entry_passes_ungated(self):
+        (verdict,) = check_entry(_stub_entry([1000]), [])
+        assert verdict.verdict == "no-history" and not verdict.failed
+        assert "passed ungated" in render_verdicts([verdict])
 
 
 class TestSerialParallelEquivalence:

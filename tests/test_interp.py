@@ -382,3 +382,9 @@ def main() {
             assert ref() is None
         finally:
             gc.enable()
+
+
+@pytest.mark.usefixtures("tier1_immediately")
+class TestLimitAndErrorExactnessInTier1(TestLimitAndErrorExactness):
+    """The same limits, errors and lifetime with every callable compiled
+    to its tier-1 function on its first call."""
